@@ -7,10 +7,10 @@ sequences, certified order lower bounds, and finite-stability probes.
 """
 
 from .analysis import (
+    ZERO_RATIO,
     DensityReport,
     DensityRow,
     HypothesisReport,
-    ProbeThresholds,
     SubseqSpec,
     counting,
     density_sequence,
@@ -38,7 +38,6 @@ from .setexpr import (
     BlockFamily,
     BoundCeilingError,
     Explicit,
-    FamilyBlock,
     Interval,
     ParseError,
     Powers,
@@ -46,7 +45,6 @@ from .setexpr import (
     SetExpr,
     Union,
     contains,
-    family_block,
     family_blocks,
     materialize,
     parse_set_expr,
@@ -75,14 +73,12 @@ __all__ = [
     "DensityReport",
     "DensityRow",
     "Explicit",
-    "FamilyBlock",
     "HypothesisReport",
     "Interval",
     "OrderReport",
     "ParseError",
     "Powers",
     "PrefixBitset",
-    "ProbeThresholds",
     "SATURATION_LIMIT",
     "SQUARES",
     "SemanticError",
@@ -96,11 +92,11 @@ __all__ = [
     "VerificationError",
     "VerifyOutcome",
     "WitnessList",
+    "ZERO_RATIO",
     "complement_witnesses",
     "contains",
     "counting",
     "density_sequence",
-    "family_block",
     "family_blocks",
     "full_mask",
     "hypothesis_probe",

@@ -167,11 +167,8 @@ def window_extrema(report: DensityReport, tail: int) -> tuple[Fraction, Fraction
     return min(ratios), max(ratios)
 
 
-@dataclass(frozen=True)
-class ProbeThresholds:
-    """Cutoffs for the empirical trend verdicts."""
-
-    zero_ratio: Fraction = Fraction(1, 100)
+# the last (h-2)-fold ratio must fall below this for the zero-trend verdict
+ZERO_RATIO = Fraction(1, 100)
 
 
 @dataclass(frozen=True)
@@ -194,17 +191,12 @@ class HypothesisReport:
     h1_strictly_below_one: bool
 
 
-def hypothesis_probe(
-    expr: SetExpr,
-    h: int,
-    subseq: SubseqSpec,
-    thresholds: ProbeThresholds = ProbeThresholds(),
-) -> HypothesisReport:
+def hypothesis_probe(expr: SetExpr, h: int, subseq: SubseqSpec) -> HypothesisReport:
     """Sample ``(h-2)A`` and ``(h-1)A`` densities along a subsequence.
 
     The zero-trend verdict requires the last ratio to undercut both the first
-    ratio and ``thresholds.zero_ratio``; slow decays report False at desk
-    scale even when the true limit is zero.
+    ratio and ``ZERO_RATIO``; slow decays report False at desk scale even when
+    the true limit is zero.
     """
     if h < 3:
         raise ValueError(f"the probe needs a claimed order h >= 3, got {h}")
@@ -212,7 +204,7 @@ def hypothesis_probe(
     high = density_sequence(expr, h - 1, subseq)
     low_ratios = [r.ratio for r in low.rows]
     tail = low_ratios[-max(1, len(low_ratios) // 2) :]
-    trending = low_ratios[-1] < low_ratios[0] and low_ratios[-1] < thresholds.zero_ratio
+    trending = low_ratios[-1] < low_ratios[0] and low_ratios[-1] < ZERO_RATIO
     h1_max = max(r.ratio for r in high.rows)
     return HypothesisReport(
         h=h,

@@ -177,14 +177,16 @@ def stability_probe(
     )
 
 
+SWEEP_ELEMENT_CEILING = 1000
+SWEEP_MAX_SIZE = 5
+
+
 @dataclass(frozen=True)
 class SweepConfig:
     """Shape of the randomized augmentation sweep."""
 
     runs: int = 100
     seed: int = 0
-    element_ceiling: int = 1000
-    max_size: int = 5
 
 
 @dataclass(frozen=True)
@@ -216,9 +218,9 @@ def random_stability_sweep(
 ) -> SweepReport:
     """Probe stability against ``runs`` random finite augmentations.
 
-    Draws F as a uniform sample of up to ``max_size`` elements from
-    ``[0, element_ceiling]``, seeded for reproducibility, and records which
-    family terms survive each augmented probe.
+    Draws F as a uniform sample of up to ``SWEEP_MAX_SIZE`` elements from
+    ``[0, SWEEP_ELEMENT_CEILING]``, seeded for reproducibility, and records
+    which family terms survive each augmented probe.
     """
     if config.runs < 1:
         raise ValueError(f"sweep needs at least one run, got {config.runs}")
@@ -226,8 +228,8 @@ def random_stability_sweep(
     terms = tuple(n for _, n in family.indexed_terms())
     runs: list[SweepRun] = []
     for i in range(config.runs):
-        size = rng.randint(0, config.max_size)
-        added = tuple(sorted(rng.sample(range(config.element_ceiling + 1), size)))
+        size = rng.randint(0, SWEEP_MAX_SIZE)
+        added = tuple(sorted(rng.sample(range(SWEEP_ELEMENT_CEILING + 1), size)))
         probe = stability_probe(expr, added, h, family, bound)
         runs.append(
             SweepRun(i, added, probe.survivors, probe.survivors == terms)

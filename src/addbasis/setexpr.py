@@ -178,45 +178,17 @@ SQUARES = Powers(2)
 CUBES = Powers(3)
 
 
-@dataclass(frozen=True)
-class FamilyBlock:
-    """One interval block of a :class:`BlockFamily`."""
-
-    index: int
-    lo: int
-    hi: int
-
-    @property
-    def cardinality(self) -> int:
-        return self.hi - self.lo + 1
-
-
-def family_block(params: BlockFamily, n: int) -> FamilyBlock:
-    """The n-th block of the family; overflow-checked 64-bit arithmetic."""
-    if n < 1:
-        raise ValueError(f"block index must be >= 1, got {n}")
-    if n == 1:
-        return FamilyBlock(1, 0, params.head_end)
-    hi = params.base**n
-    if hi > U64_MAX:
-        raise OverflowError(
-            f"block {n} endpoint {params.base}^{n} exceeds the 64-bit natural range"
-        )
-    lo = params.mult * params.base ** (n - 1) + params.offset
-    return FamilyBlock(n, lo, hi)
-
-
-def family_blocks(params: BlockFamily, upto: int) -> Iterator[FamilyBlock]:
-    """Blocks whose lower end is <= ``upto``, in index order (ends unclipped)."""
+def family_blocks(params: BlockFamily, upto: int) -> Iterator[tuple[int, int]]:
+    """Blocks ``(lo, hi)`` with ``lo <= upto``, in index order (ends unclipped)."""
     if upto < 0:
         return
-    yield FamilyBlock(1, 0, params.head_end)
+    yield 0, params.head_end
     n = 2
     while True:
         lo = params.mult * params.base ** (n - 1) + params.offset
         if lo > upto:
             return
-        yield FamilyBlock(n, lo, params.base**n)
+        yield lo, params.base**n
         n += 1
 
 
@@ -415,6 +387,8 @@ def contains(expr: SetExpr, n: int) -> bool:
     if isinstance(expr, Powers):
         return _iroot(n, expr.exponent) ** expr.exponent == n
     if isinstance(expr, BlockFamily):
+        # walks the blocks itself, apart from family_blocks: verify._recount
+        # checks the bitset pipeline against this path
         if n <= expr.head_end:
             return True
         i = 2
@@ -457,8 +431,8 @@ def _mask(expr: SetExpr, bound: int) -> int:
         return m
     if isinstance(expr, BlockFamily):
         m = 0
-        for block in family_blocks(expr, bound):
-            m |= _run_mask(block.lo, block.hi, bound)
+        for lo, hi in family_blocks(expr, bound):
+            m |= _run_mask(lo, hi, bound)
         return m
     if isinstance(expr, Union):
         return _mask(expr.left, bound) | _mask(expr.right, bound)

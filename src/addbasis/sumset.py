@@ -38,20 +38,14 @@ class WitnessList:
     h: int
     bound: int
     gaps: tuple[int, ...]
-    truncated: bool
-    limit: int | None
 
 
-def pair_sumset(
-    p: PrefixBitset, q: PrefixBitset, bound: int, chunk_size: int | None = None
-) -> PrefixBitset:
+def pair_sumset(p: PrefixBitset, q: PrefixBitset, bound: int) -> PrefixBitset:
     """Exact ``(P + Q) ∩ [0, bound]``.
 
     ORs one operand's bit vector shifted by each member of the other; the
     kernel iterates over the sparser side since cost is popcount x words
     (tie broken toward the left operand; the result is identical either way).
-    ``chunk_size`` groups the shift loop into independently accumulated
-    partials, which must be, and is, bit-identical to the single pass.
     """
     if bound < 0:
         raise ValueError(f"bound must be >= 0, got {bound}")
@@ -66,60 +60,22 @@ def pair_sumset(
         outer, inner = pm, qm
     else:
         outer, inner = qm, pm
-    if chunk_size is None:
-        acc = 0
-        for a in iter_bits(outer):
-            acc |= inner << a
-    else:
-        if chunk_size < 1:
-            raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
-        acc = 0
-        partial = 0
-        filled = 0
-        for a in iter_bits(outer):
-            partial |= inner << a
-            filled += 1
-            if filled == chunk_size:
-                acc |= partial
-                partial = 0
-                filled = 0
-        acc |= partial
+    acc = 0
+    for a in iter_bits(outer):
+        acc |= inner << a
     return PrefixBitset(bound, acc & window)
 
 
-def iterate_sumset(
-    expr: SetExpr,
-    h: int,
-    bound: int,
-    *,
-    square_and_multiply: bool = False,
-    chunk_size: int | None = None,
-) -> SumsetResult:
-    """Exact ``hA ∩ [0, bound]``; ``h = 0`` yields ``{0}``.
-
-    Default strategy folds left-to-right with h-1 pair applications;
-    ``square_and_multiply`` doubles fold counts instead.  Both are
-    bit-identical.
-    """
+def iterate_sumset(expr: SetExpr, h: int, bound: int) -> SumsetResult:
+    """Exact ``hA ∩ [0, bound]`` by h-1 pair folds; ``h = 0`` yields ``{0}``."""
     if h < 0:
         raise ValueError(f"fold count must be >= 0, got {h}")
     base = materialize(expr, bound)
     if h == 0:
         return SumsetResult(0, bound, PrefixBitset(bound, 1))
-    if square_and_multiply:
-        acc = PrefixBitset(bound, 1)
-        sq = base
-        e = h
-        while e:
-            if e & 1:
-                acc = pair_sumset(acc, sq, bound, chunk_size)
-            e >>= 1
-            if e:
-                sq = pair_sumset(sq, sq, bound, chunk_size)
-    else:
-        acc = base
-        for _ in range(h - 1):
-            acc = pair_sumset(acc, base, bound, chunk_size)
+    acc = base
+    for _ in range(h - 1):
+        acc = pair_sumset(acc, base, bound)
     return SumsetResult(h, bound, acc)
 
 
@@ -171,18 +127,7 @@ def representation_count(expr: SetExpr, h: int, n: int) -> int:
     return min(total, SATURATION_LIMIT)
 
 
-def complement_witnesses(
-    expr: SetExpr, h: int, bound: int, limit: int | None = None
-) -> WitnessList:
-    """Ascending gaps of ``hA`` in ``[0, bound]``, truncated at ``limit``."""
-    if limit is not None and limit < 1:
-        raise ValueError(f"limit must be >= 1, got {limit}")
+def complement_witnesses(expr: SetExpr, h: int, bound: int) -> WitnessList:
+    """Ascending gaps of ``hA`` in ``[0, bound]``."""
     result = iterate_sumset(expr, h, bound)
-    gaps: list[int] = []
-    truncated = False
-    for n in iter_bits(result.bits.complement_mask()):
-        if limit is not None and len(gaps) == limit:
-            truncated = True
-            break
-        gaps.append(n)
-    return WitnessList(h, bound, tuple(gaps), truncated, limit)
+    return WitnessList(h, bound, tuple(iter_bits(result.bits.complement_mask())))

@@ -140,7 +140,7 @@ def test_criterion_5_stability_sweep():
         3,
         SubseqSpec(2, 10, 1, start=4, count=2),
         210000,
-        SweepConfig(runs=100, seed=0, element_ceiling=1000, max_size=5),
+        SweepConfig(runs=100, seed=0),
     )
     elapsed = time.perf_counter() - started
     assert sweep.terms == (20001, 200001)

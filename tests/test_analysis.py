@@ -6,11 +6,11 @@ from hypothesis import strategies as st
 
 from addbasis import (
     COUNTEREXAMPLE,
+    ZERO_RATIO,
     DensityReport,
     DensityRow,
     Explicit,
     Interval,
-    ProbeThresholds,
     SemanticError,
     SubseqSpec,
     contains,
@@ -207,17 +207,10 @@ class TestHypothesisProbe:
     def test_verdicts_recomputable(self):
         rep = hypothesis_probe(COUNTEREXAMPLE, 3, SubseqSpec(2, 10, 1, start=1, count=5))
         ratios = [r.ratio for r in rep.h2_rows]
-        expected = ratios[-1] < ratios[0] and ratios[-1] < ProbeThresholds().zero_ratio
+        expected = ratios[-1] < ratios[0] and ratios[-1] < ZERO_RATIO
         assert rep.h2_ratio_trending_to_zero == expected
         assert rep.h1_ratio_max == max(r.ratio for r in rep.h1_rows)
         assert rep.h1_strictly_below_one == (rep.h1_ratio_max < 1)
-
-    def test_threshold_is_configurable(self):
-        loose = ProbeThresholds(zero_ratio=Fraction(1, 2))
-        rep = hypothesis_probe(
-            COUNTEREXAMPLE, 3, SubseqSpec(2, 10, 1, start=1, count=5), thresholds=loose
-        )
-        assert rep.h2_ratio_trending_to_zero  # 0.444 < 0.476 and < 1/2
 
     def test_requires_h_at_least_three(self):
         with pytest.raises(ValueError):

@@ -14,7 +14,6 @@ from addbasis import (
     SemanticError,
     Union,
     contains,
-    family_block,
     family_blocks,
     materialize,
     parse_set_expr,
@@ -186,25 +185,14 @@ class TestContains:
 
 class TestFamilyBlocks:
     def test_block_examples(self):
-        b2 = family_block(COUNTEREXAMPLE, 2)
-        assert (b2.lo, b2.hi, b2.cardinality) == (22, 100, 79)
-        b1 = family_block(COUNTEREXAMPLE, 1)
-        assert (b1.lo, b1.hi) == (0, 10)
-        b3 = family_block(COUNTEREXAMPLE, 3)
-        assert (b3.lo, b3.hi, b3.cardinality) == (202, 1000, 799)
-
-    def test_block_overflow(self):
-        with pytest.raises(OverflowError):
-            family_block(COUNTEREXAMPLE, 20)  # 10^20 > 2^64 - 1
-
-    def test_bad_index(self):
-        with pytest.raises(ValueError):
-            family_block(COUNTEREXAMPLE, 0)
+        # a block is listed once its lower end is reached; ends are not clipped
+        assert list(family_blocks(COUNTEREXAMPLE, 201)) == [(0, 10), (22, 100)]
+        assert list(family_blocks(COUNTEREXAMPLE, 202))[-1] == (202, 1000)
+        assert list(family_blocks(COUNTEREXAMPLE, -1)) == []
 
     def test_blocks_iterator(self):
-        blocks = list(family_blocks(COUNTEREXAMPLE, 250))
-        assert [(b.index, b.lo, b.hi) for b in blocks] == [
-            (1, 0, 10),
-            (2, 22, 100),
-            (3, 202, 1000),
+        assert list(family_blocks(COUNTEREXAMPLE, 250)) == [
+            (0, 10),
+            (22, 100),
+            (202, 1000),
         ]
