@@ -11,7 +11,6 @@ import decimal
 import sys
 import time
 from dataclasses import asdict
-from typing import Any
 
 import jsonschema
 
@@ -30,6 +29,7 @@ from .report import (
     validate_report,
 )
 from .setexpr import (
+    U64_MAX,
     BoundCeilingError,
     ParseError,
     SemanticError,
@@ -40,20 +40,19 @@ from .verify import verify_counterexample
 
 
 def nat_arg(text: str) -> int:
-    """Nonnegative integer, accepting scientific notation like ``2.1e5``."""
+    """Integer in ``[0, 2^64 - 1]``, accepting scientific notation like ``2.1e5``."""
     try:
-        value = int(text, 10)
-    except ValueError:
-        try:
-            d = decimal.Decimal(text)
-        except decimal.InvalidOperation:
-            raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
-        if d != d.to_integral_value():
-            raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
-        value = int(d)
-    if value < 0:
+        d = decimal.Decimal(text)
+    except decimal.InvalidOperation:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
+    # checked before int(), which fails on infinities, NaNs and huge exponents
+    if not d.is_finite() or d > U64_MAX:
+        raise argparse.ArgumentTypeError(f"not a finite value up to 2^64-1: {text!r}")
+    if d != d.to_integral_value():
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
+    if d < 0:
         raise argparse.ArgumentTypeError(f"must be nonnegative: {text!r}")
-    return value
+    return int(d)
 
 
 def intlist_arg(text: str) -> tuple[int, ...]:
@@ -66,21 +65,20 @@ def intlist_arg(text: str) -> tuple[int, ...]:
     return items
 
 
-def _take(iterable, limit: int | None) -> tuple[list[int], bool]:
+def _take(iterable, limit: int) -> tuple[list[int], bool]:
     out: list[int] = []
     for x in iterable:
-        if limit is not None and len(out) == limit:
+        if len(out) == limit:
             return out, True
         out.append(x)
     return out, False
 
 
-def _cmd_sumset(args) -> tuple[dict, dict, int]:
+def _cmd_sumset(args) -> tuple[dict, int]:
     expr = parse_set_expr(args.set)
     result = iterate_sumset(expr, args.h, args.bound)
     members, members_truncated = _take(result.bits.members(), args.limit)
     gaps, gaps_truncated = _take(iter_bits(result.bits.complement_mask()), args.limit)
-    inputs = {"set": args.set, "h": args.h, "bound": args.bound, "limit": args.limit}
     payload = {
         "set": args.set,
         "h": args.h,
@@ -93,13 +91,12 @@ def _cmd_sumset(args) -> tuple[dict, dict, int]:
         "gaps_truncated": gaps_truncated,
         "limit": args.limit,
     }
-    return inputs, payload, 0
+    return payload, 0
 
 
-def _cmd_order(args) -> tuple[dict, dict, int]:
+def _cmd_order(args) -> tuple[dict, int]:
     expr = parse_set_expr(args.set)
     rep = order_bounds(expr, args.bound, args.hmax)
-    inputs = {"set": args.set, "bound": args.bound, "hmax": args.hmax}
     payload = {
         "set": args.set,
         "bound": args.bound,
@@ -119,20 +116,13 @@ def _cmd_order(args) -> tuple[dict, dict, int]:
             for row in rep.scan
         ],
     }
-    return inputs, payload, 0
+    return payload, 0
 
 
-def _cmd_density(args) -> tuple[dict, dict, int]:
+def _cmd_density(args) -> tuple[dict, int]:
     expr = parse_set_expr(args.set)
     subseq = parse_subseq(args.subseq, start=args.start, count=args.terms)
     rep = density_sequence(expr, args.t, subseq)
-    inputs = {
-        "set": args.set,
-        "t": args.t,
-        "subseq": args.subseq,
-        "start": args.start,
-        "terms": args.terms,
-    }
     payload = {
         "set": args.set,
         "t": args.t,
@@ -143,22 +133,13 @@ def _cmd_density(args) -> tuple[dict, dict, int]:
         "min_ratio": frac_str(rep.min_ratio),
         "max_ratio": frac_str(rep.max_ratio),
     }
-    return inputs, payload, 0
+    return payload, 0
 
 
-def _cmd_stability(args) -> tuple[dict, dict, int]:
+def _cmd_stability(args) -> tuple[dict, int]:
     expr = parse_set_expr(args.set)
     family = parse_subseq(args.subseq, start=args.start, count=args.terms)
     rep = stability_probe(expr, args.add, args.h, family, args.bound)
-    inputs = {
-        "set": args.set,
-        "add": list(args.add),
-        "h": args.h,
-        "subseq": args.subseq,
-        "start": args.start,
-        "terms": args.terms,
-        "bound": args.bound,
-    }
     payload = {
         "set": args.set,
         "added": list(rep.added),
@@ -172,20 +153,13 @@ def _cmd_stability(args) -> tuple[dict, dict, int]:
         "survivors": list(rep.survivors),
         "conclusion": rep.conclusion,
     }
-    return inputs, payload, 0
+    return payload, 0
 
 
-def _cmd_probe(args) -> tuple[dict, dict, int]:
+def _cmd_probe(args) -> tuple[dict, int]:
     expr = parse_set_expr(args.set)
     subseq = parse_subseq(args.subseq, start=args.start, count=args.terms)
     rep = hypothesis_probe(expr, args.h, subseq)
-    inputs = {
-        "set": args.set,
-        "h": args.h,
-        "subseq": args.subseq,
-        "start": args.start,
-        "terms": args.terms,
-    }
     payload = {
         "set": args.set,
         "h": rep.h,
@@ -204,12 +178,11 @@ def _cmd_probe(args) -> tuple[dict, dict, int]:
         "h1_strictly_below_one": rep.h1_strictly_below_one,
         "note": "verdicts are empirical window estimates, not limits",
     }
-    return inputs, payload, 0
+    return payload, 0
 
 
-def _cmd_verify(args) -> tuple[dict, dict, int]:
+def _cmd_verify(args) -> tuple[dict, int]:
     outcome = verify_counterexample(args.bound, seed=args.seed)
-    inputs = {"set": "counterexample", "bound": args.bound, "seed": args.seed}
     payload = {
         "claims": [
             {"name": c.name, "status": "PASS" if c.passed else "FAIL", "detail": c.detail}
@@ -217,7 +190,7 @@ def _cmd_verify(args) -> tuple[dict, dict, int]:
         ],
         "overall": "PASS" if outcome.passed else "FAIL",
     }
-    return inputs, payload, 0 if outcome.passed else 3
+    return payload, 0 if outcome.passed else 3
 
 
 def _add_format_flags(sp: argparse.ArgumentParser) -> None:
@@ -245,14 +218,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sp.add_argument("--bound", type=nat_arg, default=210000)
     sp.add_argument("--seed", type=int, default=0, help="stability sweep RNG seed")
-    sp.set_defaults(handler=_cmd_verify)
+    sp.set_defaults(handler=_cmd_verify, set="counterexample")
     _add_format_flags(sp)
 
     sp = sub.add_parser("sumset", help="h-fold sumset membership and gaps over [0, bound]")
     sp.add_argument("--set", required=True, help="set expression")
     sp.add_argument("--h", type=int, required=True, help="fold count")
     sp.add_argument("--bound", type=nat_arg, required=True)
-    sp.add_argument("--limit", type=int, default=100, help="member/gap listing cap")
+    sp.add_argument("--limit", type=nat_arg, default=100, help="member/gap listing cap")
     sp.set_defaults(handler=_cmd_sumset)
     _add_format_flags(sp)
 
@@ -295,6 +268,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# parsed attributes that are not inputs of the computation
+_NOT_INPUTS = ("command", "handler", "json", "csv", "plot_data")
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
@@ -304,9 +281,10 @@ def main(argv: list[str] | None = None) -> int:
     if args.plot_data and args.command not in PLOTTABLE:
         print(f"error: --plot-data is only available for {', '.join(PLOTTABLE)}", file=sys.stderr)
         return 2
+    inputs = {k: v for k, v in vars(args).items() if k not in _NOT_INPUTS}
     started = time.perf_counter()
     try:
-        inputs, result, status = args.handler(args)
+        result, status = args.handler(args)
     except VerificationError as exc:
         print(f"error: internal verification failure: {exc}", file=sys.stderr)
         return 3

@@ -38,6 +38,11 @@ class TestBoundParsing:
             nat_arg("-5")
         with pytest.raises(argparse.ArgumentTypeError):
             nat_arg("nope")
+        # non-finite or above 2^64 - 1: rejected before int() can raise
+        for text in ("inf", "-Infinity", "NaN", "sNaN", "1e20", "18446744073709551616"):
+            with pytest.raises(argparse.ArgumentTypeError):
+                nat_arg(text)
+        assert nat_arg("18446744073709551615") == 2**64 - 1
 
 
 class TestCommands:
@@ -64,6 +69,15 @@ class TestCommands:
         )
         assert rep["result"]["gaps"] == [21, 201, 2001, 20001]
         assert rep["result"]["gaps_truncated"] is False
+
+    def test_sumset_limit_truncates(self, capsys):
+        rep = run_json(
+            capsys, "sumset", "--set", "explicit{0,1}", "--h", "1", "--bound", "50", "--limit", "3"
+        )
+        assert rep["result"]["members"] == [0, 1]
+        assert rep["result"]["members_truncated"] is False
+        assert rep["result"]["gaps"] == [2, 3, 4]
+        assert rep["result"]["gaps_truncated"] is True
 
     def test_density_rows(self, capsys):
         rep = run_json(
@@ -147,6 +161,13 @@ class TestExitCodes:
         code, _, err = run_cli(capsys, "order", "--set", "squares", "--bound", "200", "--hmax", "4")
         assert code == 2
         assert "ADDBASIS_MAX_BOUND" in err
+
+    def test_negative_limit(self, capsys):
+        code, _, err = run_cli(
+            capsys, "sumset", "--set", "squares", "--h", "2", "--bound", "10", "--limit", "-1"
+        )
+        assert code == 2
+        assert "nonnegative" in err
 
     def test_usage_error(self, capsys):
         code, _, _ = run_cli(capsys, "order", "--set", "squares")
