@@ -23,7 +23,6 @@ from .bitset import PrefixBitset, full_mask, iter_bits
 from .order import (
     OrderReport,
     StabilityReport,
-    SweepConfig,
     SweepReport,
     VerificationError,
     order_bounds,
@@ -53,8 +52,6 @@ from .setexpr import (
 from .sumset import (
     SATURATION_LIMIT,
     SumsetResult,
-    WitnessList,
-    complement_witnesses,
     iterate_sumset,
     pair_sumset,
     pairsum_contains,
@@ -86,14 +83,11 @@ __all__ = [
     "StabilityReport",
     "SubseqSpec",
     "SumsetResult",
-    "SweepConfig",
     "SweepReport",
     "Union",
     "VerificationError",
     "VerifyOutcome",
-    "WitnessList",
     "ZERO_RATIO",
-    "complement_witnesses",
     "contains",
     "counting",
     "density_sequence",

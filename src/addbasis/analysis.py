@@ -42,9 +42,18 @@ class SubseqSpec:
             raise SemanticError(f"subsequence count must be >= 1, got {self.count}")
 
     def term(self, k: int) -> int:
+        """``n_k``; raises OverflowError above ``2^64 - 1``."""
         if self.base is None:
-            return self.a * k + self.c
-        return self.a * self.base**k + self.c
+            n = self.a * k + self.c
+        elif self.a == 0:
+            n = self.c
+        elif k * (self.base.bit_length() - 1) >= 65 + abs(self.c).bit_length():
+            n = None  # a*base^k >= 2^(k*(bits-1)) > 2^64 + |c|: skip the power
+        else:
+            n = self.a * self.base**k + self.c
+        if n is None or n > U64_MAX:
+            raise OverflowError(f"subsequence term n_{k} exceeds the 64-bit natural range")
+        return n
 
     def indexed_terms(self) -> tuple[tuple[int, int], ...]:
         """Pairs ``(k, n_k)``; validates positivity, growth and 64-bit range."""
@@ -54,10 +63,6 @@ class SubseqSpec:
             n = self.term(k)
             if n < 1:
                 raise SemanticError(f"subsequence term n_{k} = {n} must be >= 1")
-            if n > U64_MAX:
-                raise OverflowError(
-                    f"subsequence term n_{k} exceeds the 64-bit natural range"
-                )
             if pairs and n <= prev:
                 raise SemanticError(
                     f"subsequence terms must be strictly increasing, n_{k} = {n}"

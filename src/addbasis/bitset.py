@@ -97,6 +97,10 @@ class PrefixBitset:
         """Bits of ``[0, bound]`` that are NOT members."""
         return full_mask(self.bound) & ~self.mask
 
+    def gaps(self) -> Iterator[int]:
+        """Non-members in ``[0, bound]``, ascending; the counterpart of ``members``."""
+        return iter_bits(self.complement_mask())
+
     def first_gap(self) -> int | None:
         """Smallest non-member in ``[0, bound]``, or None if full."""
         comp = self.complement_mask()

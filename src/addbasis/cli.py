@@ -15,15 +15,12 @@ from dataclasses import asdict
 import jsonschema
 
 from .analysis import density_sequence, hypothesis_probe, parse_subseq
-from .bitset import iter_bits
 from .order import VerificationError, order_bounds, stability_probe
 from .report import (
-    PLOTTABLE,
-    build_report,
+    SCHEMA_VERSION,
     canonical_json,
     density_rows_payload,
     frac_decimal,
-    frac_str,
     plot_data_lines,
     rows_csv,
     validate_report,
@@ -78,7 +75,7 @@ def _cmd_sumset(args) -> tuple[dict, int]:
     expr = parse_set_expr(args.set)
     result = iterate_sumset(expr, args.h, args.bound)
     members, members_truncated = _take(result.bits.members(), args.limit)
-    gaps, gaps_truncated = _take(iter_bits(result.bits.complement_mask()), args.limit)
+    gaps, gaps_truncated = _take(result.bits.gaps(), args.limit)
     payload = {
         "set": args.set,
         "h": args.h,
@@ -130,8 +127,8 @@ def _cmd_density(args) -> tuple[dict, int]:
         "start": args.start,
         "terms": args.terms,
         "rows": density_rows_payload(rep.rows),
-        "min_ratio": frac_str(rep.min_ratio),
-        "max_ratio": frac_str(rep.max_ratio),
+        "min_ratio": str(rep.min_ratio),
+        "max_ratio": str(rep.max_ratio),
     }
     return payload, 0
 
@@ -171,9 +168,9 @@ def _cmd_probe(args) -> tuple[dict, int]:
         "h2_rows": density_rows_payload(rep.h2_rows),
         "h1_rows": density_rows_payload(rep.h1_rows),
         "h2_ratio_trending_to_zero": rep.h2_ratio_trending_to_zero,
-        "h2_tail_max": frac_str(rep.h2_tail_max),
+        "h2_tail_max": str(rep.h2_tail_max),
         "h2_tail_max_decimal": frac_decimal(rep.h2_tail_max),
-        "h1_ratio_max": frac_str(rep.h1_ratio_max),
+        "h1_ratio_max": str(rep.h1_ratio_max),
         "h1_ratio_max_decimal": frac_decimal(rep.h1_ratio_max),
         "h1_strictly_below_one": rep.h1_strictly_below_one,
         "note": "verdicts are empirical window estimates, not limits",
@@ -193,16 +190,18 @@ def _cmd_verify(args) -> tuple[dict, int]:
     return payload, 0 if outcome.passed else 3
 
 
-def _add_format_flags(sp: argparse.ArgumentParser) -> None:
+def _add_format_flags(sp: argparse.ArgumentParser, plot_data: bool = False) -> None:
     fmt = sp.add_mutually_exclusive_group()
     fmt.add_argument("--json", action="store_true", help="JSON report (default)")
     fmt.add_argument("--csv", action="store_true", help="rows-only CSV")
-    fmt.add_argument(
-        "--plot-data",
-        action="store_true",
-        dest="plot_data",
-        help="(k, n, ratio) triples for external plotting",
-    )
+    # only reports with (k, n, ratio) rows get the flag
+    if plot_data:
+        fmt.add_argument(
+            "--plot-data",
+            action="store_true",
+            dest="plot_data",
+            help="(k, n, ratio) triples for external plotting",
+        )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -243,7 +242,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--terms", type=int, default=5)
     sp.add_argument("--start", type=int, default=1, help="first index k")
     sp.set_defaults(handler=_cmd_density)
-    _add_format_flags(sp)
+    _add_format_flags(sp, plot_data=True)
 
     sp = sub.add_parser("stability", help="which witness-family terms stay outside (h-1)(A ∪ F)")
     sp.add_argument("--set", required=True)
@@ -263,7 +262,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--terms", type=int, default=5)
     sp.add_argument("--start", type=int, default=1)
     sp.set_defaults(handler=_cmd_probe)
-    _add_format_flags(sp)
+    _add_format_flags(sp, plot_data=True)
 
     return parser
 
@@ -278,9 +277,6 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    if args.plot_data and args.command not in PLOTTABLE:
-        print(f"error: --plot-data is only available for {', '.join(PLOTTABLE)}", file=sys.stderr)
-        return 2
     inputs = {k: v for k, v in vars(args).items() if k not in _NOT_INPUTS}
     started = time.perf_counter()
     try:
@@ -292,7 +288,13 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     timing_ms = round((time.perf_counter() - started) * 1000, 3)
-    report = build_report(args.command, inputs, result, timing_ms)
+    report = {
+        "schema_version": SCHEMA_VERSION,
+        "command": args.command,
+        "inputs": inputs,
+        "result": result,
+        "timing_ms": timing_ms,
+    }
     try:
         validate_report(report)
     except jsonschema.ValidationError as exc:
@@ -300,7 +302,7 @@ def main(argv: list[str] | None = None) -> int:
         return 3
     if args.csv:
         sys.stdout.write(rows_csv(report))
-    elif args.plot_data:
+    elif getattr(args, "plot_data", False):
         sys.stdout.write(plot_data_lines(report))
     else:
         sys.stdout.write(canonical_json(report))

@@ -177,16 +177,9 @@ def stability_probe(
     )
 
 
+SWEEP_RUNS = 100
 SWEEP_ELEMENT_CEILING = 1000
 SWEEP_MAX_SIZE = 5
-
-
-@dataclass(frozen=True)
-class SweepConfig:
-    """Shape of the randomized augmentation sweep."""
-
-    runs: int = 100
-    seed: int = 0
 
 
 @dataclass(frozen=True)
@@ -204,7 +197,7 @@ class SweepReport:
     family_text: str
     terms: tuple[int, ...]
     bound: int
-    config: SweepConfig
+    seed: int
     runs: tuple[SweepRun, ...]
     all_runs_survived: bool
 
@@ -214,20 +207,18 @@ def random_stability_sweep(
     h: int,
     family: SubseqSpec,
     bound: int,
-    config: SweepConfig = SweepConfig(),
+    seed: int = 0,
 ) -> SweepReport:
-    """Probe stability against ``runs`` random finite augmentations.
+    """Probe stability against ``SWEEP_RUNS`` random finite augmentations.
 
     Draws F as a uniform sample of up to ``SWEEP_MAX_SIZE`` elements from
     ``[0, SWEEP_ELEMENT_CEILING]``, seeded for reproducibility, and records
     which family terms survive each augmented probe.
     """
-    if config.runs < 1:
-        raise ValueError(f"sweep needs at least one run, got {config.runs}")
-    rng = random.Random(config.seed)
+    rng = random.Random(seed)
     terms = tuple(n for _, n in family.indexed_terms())
     runs: list[SweepRun] = []
-    for i in range(config.runs):
+    for i in range(SWEEP_RUNS):
         size = rng.randint(0, SWEEP_MAX_SIZE)
         added = tuple(sorted(rng.sample(range(SWEEP_ELEMENT_CEILING + 1), size)))
         probe = stability_probe(expr, added, h, family, bound)
@@ -240,7 +231,7 @@ def random_stability_sweep(
         family_text=str(family),
         terms=terms,
         bound=bound,
-        config=config,
+        seed=seed,
         runs=tuple(runs),
         all_runs_survived=all(r.all_survived for r in runs),
     )

@@ -8,6 +8,7 @@ byte-identical reports except for ``timing_ms``.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import json
 from fractions import Fraction
@@ -18,22 +19,6 @@ import jsonschema
 from .analysis import DensityRow
 
 SCHEMA_VERSION = "1"
-
-COMMANDS = (
-    "verify-counterexample",
-    "sumset",
-    "order",
-    "density",
-    "stability",
-    "probe",
-)
-
-# commands whose reports carry (k, n, ratio) rows suitable for --plot-data
-PLOTTABLE = ("density", "probe")
-
-
-def frac_str(value: Fraction) -> str:
-    return str(value)
 
 
 def frac_decimal(value: Fraction) -> str:
@@ -46,23 +31,11 @@ def density_rows_payload(rows: Iterable[DensityRow]) -> list[dict[str, Any]]:
             "k": r.k,
             "n": r.n,
             "count": r.count,
-            "ratio": frac_str(r.ratio),
+            "ratio": str(r.ratio),
             "ratio_decimal": frac_decimal(r.ratio),
         }
         for r in rows
     ]
-
-
-def build_report(
-    command: str, inputs: dict[str, Any], result: dict[str, Any], timing_ms: float
-) -> dict[str, Any]:
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "command": command,
-        "inputs": inputs,
-        "result": result,
-        "timing_ms": timing_ms,
-    }
 
 
 def canonical_json(report: dict[str, Any]) -> str:
@@ -90,26 +63,14 @@ _DENSITY_ROW = {
 }
 
 
-def _obj(required: dict[str, Any], optional: dict[str, Any] | None = None) -> dict:
-    props = dict(required)
-    props.update(optional or {})
+def _obj(properties: dict[str, Any]) -> dict:
     return {
         "type": "object",
-        "required": sorted(required),
-        "properties": props,
+        "required": sorted(properties),
+        "properties": properties,
         "additionalProperties": False,
     }
 
-
-ENVELOPE_SCHEMA = _obj(
-    {
-        "schema_version": {"const": SCHEMA_VERSION},
-        "command": {"enum": list(COMMANDS)},
-        "inputs": {"type": "object"},
-        "result": {"type": "object"},
-        "timing_ms": {"type": "number", "minimum": 0},
-    }
-)
 
 RESULT_SCHEMAS: dict[str, dict] = {
     "sumset": _obj(
@@ -217,10 +178,35 @@ RESULT_SCHEMAS: dict[str, dict] = {
 }
 
 
+def report_schema(command: str) -> dict:
+    """The whole report of one command: envelope and that command's result."""
+    return _obj(
+        {
+            "schema_version": {"const": SCHEMA_VERSION},
+            "command": {"const": command},
+            "inputs": {"type": "object"},
+            "result": RESULT_SCHEMAS[command],
+            "timing_ms": {"type": "number", "minimum": 0},
+        }
+    )
+
+
+@functools.cache
+def _validator(command: str) -> jsonschema.protocols.Validator:
+    # built on first use, so the meta-schema check runs once per command and
+    # process rather than once per report, and never at import
+    schema = report_schema(command)
+    cls = jsonschema.validators.validator_for(schema)
+    cls.check_schema(schema)
+    return cls(schema)
+
+
 def validate_report(report: dict[str, Any]) -> None:
     """Raise jsonschema.ValidationError if the report violates its schema."""
-    jsonschema.validate(report, ENVELOPE_SCHEMA)
-    jsonschema.validate(report["result"], RESULT_SCHEMAS[report["command"]])
+    command = report.get("command")
+    if not isinstance(command, str) or command not in RESULT_SCHEMAS:
+        raise jsonschema.ValidationError(f"unknown command {command!r}")
+    _validator(command).validate(report)
 
 
 def _csv_text(header: list[str], rows: Iterable[list[Any]]) -> str:
@@ -290,5 +276,5 @@ def plot_data_lines(report: dict[str, Any]) -> str:
         lines += ["", f"# fold {result['h1_fold']}"]
         lines += [f"{r['k']} {r['n']} {r['ratio_decimal']}" for r in result["h1_rows"]]
     else:
-        raise ValueError(f"--plot-data supports {PLOTTABLE}, not {command!r}")
+        raise ValueError(f"no plot data for command {command!r}")
     return "\n".join(lines) + "\n"

@@ -27,19 +27,6 @@ class SumsetResult:
     bits: PrefixBitset
 
 
-@dataclass(frozen=True)
-class WitnessList:
-    """Ascending gaps of an h-fold sumset in ``[0, bound]``.
-
-    Each gap certifies that the value has no representation as a sum of h
-    elements of the underlying infinite set.
-    """
-
-    h: int
-    bound: int
-    gaps: tuple[int, ...]
-
-
 def pair_sumset(p: PrefixBitset, q: PrefixBitset, bound: int) -> PrefixBitset:
     """Exact ``(P + Q) ∩ [0, bound]``.
 
@@ -125,9 +112,3 @@ def representation_count(expr: SetExpr, h: int, n: int) -> int:
     for a in elems:
         total += vec[n - a]
     return min(total, SATURATION_LIMIT)
-
-
-def complement_witnesses(expr: SetExpr, h: int, bound: int) -> WitnessList:
-    """Ascending gaps of ``hA`` in ``[0, bound]``."""
-    result = iterate_sumset(expr, h, bound)
-    return WitnessList(h, bound, tuple(iter_bits(result.bits.complement_mask())))

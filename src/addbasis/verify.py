@@ -23,13 +23,13 @@ from .analysis import (
 from .order import (
     SWEEP_ELEMENT_CEILING,
     SWEEP_MAX_SIZE,
-    SweepConfig,
+    SWEEP_RUNS,
     order_bounds,
     random_stability_sweep,
 )
-from .report import density_rows_payload, frac_decimal, frac_str
+from .report import density_rows_payload, frac_decimal
 from .setexpr import COUNTEREXAMPLE, contains
-from .sumset import complement_witnesses, representation_count
+from .sumset import iterate_sumset, representation_count
 
 MIN_VERIFY_BOUND = 21000
 GAP_SCAN_BOUND = 21000
@@ -39,7 +39,6 @@ HIGH_ANCHOR = Fraction(8, 9)
 ANCHOR_TOLERANCE = Fraction(1, 10000)
 WINDOW_GAP_THRESHOLD = Fraction(2, 5)
 NONCONVERGENCE_FLAG = "limit empirically does not exist"
-SWEEP_RUNS = 100
 
 
 @dataclass(frozen=True)
@@ -100,8 +99,8 @@ def _density_claim(expr, bound: int) -> tuple[Claim, DensityReport, DensityRepor
         "high_subseq": "10^k",
         "low_rows": density_rows_payload(low.rows),
         "high_rows": density_rows_payload(high.rows),
-        "low_anchor": frac_str(LOW_ANCHOR),
-        "high_anchor": frac_str(HIGH_ANCHOR),
+        "low_anchor": str(LOW_ANCHOR),
+        "high_anchor": str(HIGH_ANCHOR),
         "low_final_distance": frac_decimal(low_final),
         "high_final_distance": frac_decimal(high_final),
         "recount_agrees": recount_ok,
@@ -138,16 +137,16 @@ def verify_counterexample(bound: int, seed: int = 0) -> VerifyOutcome:
         )
     )
 
-    gaps = complement_witnesses(expr, 2, GAP_SCAN_BOUND)
-    certs_ok = all(representation_count(expr, 2, g) == 0 for g in gaps.gaps)
+    gaps = tuple(iterate_sumset(expr, 2, GAP_SCAN_BOUND).bits.gaps())
+    certs_ok = all(representation_count(expr, 2, g) == 0 for g in gaps)
     claims.append(
         Claim(
             "pair-gap-family",
-            gaps.gaps == EXPECTED_GAPS and certs_ok,
+            gaps == EXPECTED_GAPS and certs_ok,
             {
                 "bound": GAP_SCAN_BOUND,
                 "expected": list(EXPECTED_GAPS),
-                "got": list(gaps.gaps),
+                "got": list(gaps),
                 "certificates_verified": certs_ok,
             },
         )
@@ -167,10 +166,10 @@ def verify_counterexample(bound: int, seed: int = 0) -> VerifyOutcome:
             "window-nonconvergence",
             window_ok,
             {
-                "tail_min": frac_str(lo_ratio),
-                "tail_max": frac_str(hi_ratio),
+                "tail_min": str(lo_ratio),
+                "tail_max": str(hi_ratio),
                 "gap_decimal": frac_decimal(window_gap),
-                "threshold": frac_str(WINDOW_GAP_THRESHOLD),
+                "threshold": str(WINDOW_GAP_THRESHOLD),
                 "verdict": NONCONVERGENCE_FLAG if window_ok else "window gap below threshold",
                 "label": "empirical window estimate over merged tails, k >= 3",
             },
@@ -179,9 +178,7 @@ def verify_counterexample(bound: int, seed: int = 0) -> VerifyOutcome:
 
     k_top = low.rows[-1].k
     family = SubseqSpec(2, 10, 1, start=k_top - 1, count=2)
-    sweep = random_stability_sweep(
-        expr, 3, family, bound, SweepConfig(runs=SWEEP_RUNS, seed=seed)
-    )
+    sweep = random_stability_sweep(expr, 3, family, bound, seed=seed)
     claims.append(
         Claim(
             "stability-sweep",

@@ -17,7 +17,6 @@ from addbasis import (
     Interval,
     Powers,
     SubseqSpec,
-    SweepConfig,
     Union,
     contains,
     counting,
@@ -140,7 +139,7 @@ def test_criterion_5_stability_sweep():
         3,
         SubseqSpec(2, 10, 1, start=4, count=2),
         210000,
-        SweepConfig(runs=100, seed=0),
+        seed=0,
     )
     elapsed = time.perf_counter() - started
     assert sweep.terms == (20001, 200001)

@@ -68,6 +68,14 @@ def test_restrict_first_gap_complement():
     assert set(iter_bits(comp)) == {3, 5, 6}
 
 
+def test_gaps():
+    bits = PrefixBitset(7, 0b10010111)
+    assert list(bits.gaps()) == [3, 5, 6]
+    assert next(bits.gaps()) == bits.first_gap()
+    assert list(PrefixBitset(2, 0b111).gaps()) == []
+    assert list(PrefixBitset(4, 0).gaps()) == [0, 1, 2, 3, 4]
+
+
 def test_equality_and_hash():
     a = PrefixBitset(9, 0b1010)
     b = PrefixBitset(9, 0b1010)

@@ -1,12 +1,14 @@
+import copy
 import csv
 import io
 import json
 from fractions import Fraction
 
+import jsonschema
 import pytest
 
 from addbasis.cli import main, nat_arg
-from addbasis.report import validate_report
+from addbasis.report import RESULT_SCHEMAS, validate_report
 
 
 def run_cli(capsys, *argv):
@@ -188,10 +190,74 @@ class TestExitCodes:
         assert "verification" in err
 
     def test_plot_data_rejected_for_order(self, capsys):
-        code, _, err = run_cli(
-            capsys, "order", "--set", "squares", "--bound", "100", "--hmax", "4", "--plot-data"
+        for argv in (
+            ["order", "--set", "squares", "--bound", "100", "--hmax", "4"],
+            ["sumset", "--set", "squares", "--h", "2", "--bound", "100"],
+            ["stability", "--set", "counterexample", "--h", "3", "--subseq", "2*10^k+1",
+             "--terms", "2", "--bound", "2100"],
+            ["verify-counterexample", "--bound", "21000"],
+        ):
+            code, out, err = run_cli(capsys, *argv, "--plot-data")
+            assert code == 2
+            assert out == ""
+            assert "unrecognized arguments: --plot-data" in err
+
+    def test_huge_subseq_start(self, capsys):
+        code, out, err = run_cli(
+            capsys, "density", "--set", "squares", "--subseq", "10^k",
+            "--start", "1000000", "--terms", "1",
         )
         assert code == 2
+        assert out == ""
+        assert "64-bit" in err
+
+    def test_invalid_report_maps_to_three(self, capsys, monkeypatch):
+        import addbasis.cli as cli_mod
+
+        monkeypatch.setattr(cli_mod, "_cmd_order", lambda args: ({"upper": "four"}, 0))
+        code, out, err = run_cli(
+            capsys, "order", "--set", "squares", "--bound", "10", "--hmax", "2"
+        )
+        assert code == 3
+        assert out == ""
+        assert "self-validation" in err
+
+
+class TestReportSchema:
+    @pytest.fixture
+    def density_report(self, capsys):
+        return run_json(
+            capsys, "density", "--set", "counterexample", "--subseq", "10^k", "--terms", "2"
+        )
+
+    def test_schemas_are_valid(self):
+        from addbasis.report import report_schema
+
+        for command in RESULT_SCHEMAS:
+            schema = report_schema(command)
+            jsonschema.validators.validator_for(schema).check_schema(schema)
+
+    def test_unknown_command(self, density_report):
+        density_report["command"] = "plot"
+        with pytest.raises(jsonschema.ValidationError):
+            validate_report(density_report)
+
+    def test_result_of_another_command(self, density_report):
+        density_report["command"] = "order"
+        with pytest.raises(jsonschema.ValidationError):
+            validate_report(density_report)
+
+    def test_extra_result_key(self, density_report):
+        density_report["result"]["extra"] = 1
+        with pytest.raises(jsonschema.ValidationError):
+            validate_report(density_report)
+
+    def test_malformed_ratio(self, density_report):
+        for bad in ("2/4x", "1/0", "-1/2", "0.5", ""):
+            report = copy.deepcopy(density_report)
+            report["result"]["rows"][0]["ratio"] = bad
+            with pytest.raises(jsonschema.ValidationError):
+                validate_report(report)
 
 
 class TestOutputs:

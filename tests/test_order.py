@@ -8,7 +8,6 @@ from addbasis import (
     SQUARES,
     Explicit,
     SubseqSpec,
-    SweepConfig,
     order_bounds,
     random_stability_sweep,
     stability_probe,
@@ -122,26 +121,16 @@ class TestStabilityProbe:
 class TestSweep:
     def test_short_sweep_survives(self):
         family = SubseqSpec(2, 10, 1, start=3, count=2)
-        rep = random_stability_sweep(
-            COUNTEREXAMPLE, 3, family, 21000, SweepConfig(runs=10, seed=7)
-        )
+        rep = random_stability_sweep(COUNTEREXAMPLE, 3, family, 21000, seed=7)
         assert rep.all_runs_survived
         assert rep.terms == (2001, 20001)
-        assert len(rep.runs) == 10
+        assert rep.seed == 7
+        assert len(rep.runs) == 100
 
     def test_deterministic_under_seed(self):
         family = SubseqSpec(2, 10, 1, start=3, count=2)
-        cfg = SweepConfig(runs=5, seed=123)
-        a = random_stability_sweep(COUNTEREXAMPLE, 3, family, 21000, cfg)
-        b = random_stability_sweep(COUNTEREXAMPLE, 3, family, 21000, cfg)
+        a = random_stability_sweep(COUNTEREXAMPLE, 3, family, 21000, seed=123)
+        b = random_stability_sweep(COUNTEREXAMPLE, 3, family, 21000, seed=123)
+        c = random_stability_sweep(COUNTEREXAMPLE, 3, family, 21000, seed=124)
         assert a == b
-
-    def test_runs_precondition(self):
-        with pytest.raises(ValueError):
-            random_stability_sweep(
-                COUNTEREXAMPLE,
-                3,
-                SubseqSpec(2, 10, 1, count=1),
-                2100,
-                SweepConfig(runs=0),
-            )
+        assert [r.added for r in a.runs] != [r.added for r in c.runs]
