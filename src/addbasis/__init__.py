@@ -1,9 +1,10 @@
 """Desk-scale experiments with additive bases of the naturals.
 
 Structured integer sets are described by a small expression DSL, windowed
-exactly onto ``[0, N]`` as big-integer bitsets, and combined with a
-bit-parallel shift-OR sumset kernel.  On top sit counting-function density
-sequences, certified order lower bounds, and finite-stability probes.
+exactly onto ``[0, N]`` as interval runs or big-integer bitsets, and combined
+by run arithmetic while the runs are few and by a bit-parallel shift-OR
+sumset kernel after.  On top sit counting-function density sequences,
+certified order lower bounds, and finite-stability probes.
 """
 
 from .analysis import (
@@ -44,6 +45,7 @@ from .setexpr import (
     SetExpr,
     Union,
     contains,
+    expr_runs,
     family_blocks,
     materialize,
     parse_set_expr,
@@ -56,6 +58,7 @@ from .sumset import (
     pair_sumset,
     pairsum_contains,
     representation_count,
+    run_sumset,
 )
 from .verify import VerifyOutcome, verify_counterexample
 
@@ -91,6 +94,7 @@ __all__ = [
     "contains",
     "counting",
     "density_sequence",
+    "expr_runs",
     "family_blocks",
     "full_mask",
     "hypothesis_probe",
@@ -105,6 +109,7 @@ __all__ = [
     "parse_subseq",
     "random_stability_sweep",
     "representation_count",
+    "run_sumset",
     "stability_probe",
     "to_text",
     "verify_counterexample",

@@ -8,7 +8,7 @@ which is what makes the shift-OR sumset kernel fast enough at desk scale.
 
 from __future__ import annotations
 
-from typing import Iterator
+from typing import Iterable, Iterator
 
 # Set-bit offsets per byte value, for streaming members out of a large mask.
 # Peeling bits off the integer directly would copy the whole mask per bit.
@@ -20,6 +20,26 @@ def full_mask(bound: int) -> int:
     if bound < 0:
         raise ValueError(f"bound must be >= 0, got {bound}")
     return (1 << (bound + 1)) - 1
+
+
+def runs_mask(runs: Iterable[tuple[int, int]], bound: int) -> int:
+    """Mask of the disjoint sorted runs ``(lo, hi)``, all within ``[0, bound]``.
+
+    Fills a byte buffer and converts it once: O(bound/8 + runs), where ORing
+    one big integer per run would copy the whole mask per run.
+    """
+    buf = bytearray(bound // 8 + 1)
+    for lo, hi in runs:
+        a, b = lo >> 3, hi >> 3
+        if a == b:
+            buf[a] |= ((1 << (hi - lo + 1)) - 1) << (lo & 7)
+        else:
+            # disjoint runs share at most their edge bytes, so the middle
+            # bytes can be overwritten
+            buf[a] |= (0xFF << (lo & 7)) & 0xFF
+            buf[a + 1 : b] = b"\xff" * (b - a - 1)
+            buf[b] |= 0xFF >> (7 - (hi & 7))
+    return int.from_bytes(buf, "little")
 
 
 def iter_bits(mask: int) -> Iterator[int]:

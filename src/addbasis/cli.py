@@ -71,7 +71,18 @@ def _take(iterable, limit: int) -> tuple[list[int], bool]:
     return out, False
 
 
+def _check_folds(flag: str, h: int, bound: int) -> None:
+    # on [0, N], hA = NA for h >= N when 0 is in A, and hA is empty for h > N
+    # when it is not, so a larger fold count adds only work
+    if h > max(bound, 1):
+        raise ValueError(
+            f"{flag} {h} exceeds max(bound, 1) = {max(bound, 1)}; "
+            "more folds add nothing on [0, bound]"
+        )
+
+
 def _cmd_sumset(args) -> tuple[dict, int]:
+    _check_folds("--h", args.h, args.bound)
     expr = parse_set_expr(args.set)
     result = iterate_sumset(expr, args.h, args.bound)
     members, members_truncated = _take(result.bits.members(), args.limit)
@@ -92,6 +103,7 @@ def _cmd_sumset(args) -> tuple[dict, int]:
 
 
 def _cmd_order(args) -> tuple[dict, int]:
+    _check_folds("--hmax", args.hmax, args.bound)
     expr = parse_set_expr(args.set)
     rep = order_bounds(expr, args.bound, args.hmax)
     payload = {

@@ -4,7 +4,7 @@ Lower bounds come with gap witnesses and are certificates for the infinite
 set (truncation soundness).  Upper bounds are prefix facts only: "hA covers
 [0, N]" says nothing beyond N, and every report labels them that way.
 Witnesses and survivors are re-verified through the representation-counting
-path, which shares no code with the shift-OR kernel.
+path, which calls neither sumset kernel.
 """
 
 from __future__ import annotations
@@ -13,9 +13,14 @@ import random
 from dataclasses import dataclass
 
 from .analysis import SubseqSpec
-from .bitset import PrefixBitset
-from .setexpr import Augment, SetExpr, materialize, to_text
-from .sumset import iterate_sumset, pair_sumset, pairsum_contains, representation_count
+from .setexpr import Augment, SetExpr, contains, materialize, to_text
+from .sumset import (  # noqa: F401  pair_sumset: bench/test_oracles.py traces it here
+    iterate_sumset,
+    pair_sumset,
+    pairsum_contains,
+    representation_count,
+    sumset_folds,
+)
 
 
 class VerificationError(RuntimeError):
@@ -60,17 +65,15 @@ def order_bounds(expr: SetExpr, bound: int, h_max: int) -> OrderReport:
     """
     if h_max < 1:
         raise ValueError(f"h_max must be >= 1, got {h_max}")
-    base = materialize(expr, bound)
-    acc = PrefixBitset(bound, 1)  # 0-fold
-    scan: list[OrderScanRow] = []
-    upper: int | None = None
-    gap = acc.first_gap()
+    folds = sumset_folds(expr, bound)
+    gap = next(folds).first_gap()  # of the 0-fold {0}
     # a gap in jA certifies order > j, i.e. lower = j + 1
     lower, witness = (1, gap) if gap is not None else (0, None)
-    for h in range(1, h_max + 1):
-        acc = pair_sumset(acc, base, bound)
-        covered = acc.is_full()
+    scan: list[OrderScanRow] = []
+    upper: int | None = None
+    for h, acc in zip(range(1, h_max + 1), folds):
         first_gap = acc.first_gap()
+        covered = first_gap is None
         scan.append(OrderScanRow(h, covered, first_gap))
         if covered:
             upper = h
@@ -90,7 +93,7 @@ def order_bounds(expr: SetExpr, bound: int, h_max: int) -> OrderReport:
         witness=witness,
         witness_fold=lower - 1,
         certified_lower=witness is not None,
-        zero_in_set=0 in base,
+        zero_in_set=contains(expr, 0),
         scan=tuple(scan),
     )
 

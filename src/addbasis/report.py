@@ -11,6 +11,7 @@ import csv
 import functools
 import io
 import json
+import math
 from fractions import Fraction
 from typing import Any, Iterable
 
@@ -46,7 +47,13 @@ _NAT = {"type": "integer", "minimum": 0}
 _INT = {"type": "integer"}
 _BOOL = {"type": "boolean"}
 _STR = {"type": "string"}
-_RATIO = {"type": "string", "pattern": "^(0|[1-9][0-9]*)(/[1-9][0-9]*)?$"}
+# \Z, not $: jsonschema applies the pattern with re.search, where $ also
+# matches before a trailing newline
+_RATIO = {
+    "type": "string",
+    "pattern": r"^(0|[1-9][0-9]*)(/[1-9][0-9]*)?\Z",
+    "format": "reduced-ratio",
+}
 _NAT_OR_NULL = {"anyOf": [_NAT, {"type": "null"}]}
 
 _DENSITY_ROW = {
@@ -191,6 +198,18 @@ def report_schema(command: str) -> dict:
     )
 
 
+_FORMATS = jsonschema.FormatChecker(formats=())
+
+
+@_FORMATS.checks("reduced-ratio", raises=ValueError)
+def _is_reduced_ratio(text: object) -> bool:
+    """``p/q`` with ``q > 1`` and ``gcd(p, q) = 1``; the pattern checks the digits."""
+    if not isinstance(text, str):
+        return True
+    p, slash, q = text.partition("/")
+    return not slash or (int(q) > 1 and math.gcd(int(p), int(q)) == 1)
+
+
 @functools.cache
 def _validator(command: str) -> jsonschema.protocols.Validator:
     # built on first use, so the meta-schema check runs once per command and
@@ -198,7 +217,7 @@ def _validator(command: str) -> jsonschema.protocols.Validator:
     schema = report_schema(command)
     cls = jsonschema.validators.validator_for(schema)
     cls.check_schema(schema)
-    return cls(schema)
+    return cls(schema, format_checker=_FORMATS)
 
 
 def validate_report(report: dict[str, Any]) -> None:

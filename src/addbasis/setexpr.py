@@ -27,9 +27,9 @@ from __future__ import annotations
 import os
 import re
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterable, Iterator
 
-from .bitset import PrefixBitset
+from .bitset import PrefixBitset, runs_mask
 
 U64_MAX = 2**64 - 1
 DEFAULT_BOUND_CEILING = 2**31
@@ -406,48 +406,63 @@ def contains(expr: SetExpr, n: int) -> bool:
     raise TypeError(f"not a SetExpr: {expr!r}")
 
 
-def _run_mask(lo: int, hi: int, bound: int) -> int:
-    if lo > bound or lo > hi:
-        return 0
-    hi = min(hi, bound)
-    return ((1 << (hi - lo + 1)) - 1) << lo
+def merge_runs(runs: Iterable[tuple[int, int]]) -> list[tuple[int, int]]:
+    """Runs ``(lo, hi)`` given in ascending ``lo`` order, merged where they
+    overlap or touch: the same integers as sorted, non-adjacent runs."""
+    out: list[tuple[int, int]] = []
+    for lo, hi in runs:
+        if out and lo <= out[-1][1] + 1:
+            if hi > out[-1][1]:
+                out[-1] = (out[-1][0], hi)
+        else:
+            out.append((lo, hi))
+    return out
 
 
-def _mask(expr: SetExpr, bound: int) -> int:
+def _clipped_runs(expr: SetExpr, bound: int) -> Iterator[tuple[int, int]]:
+    # runs of the set within [0, bound], unsorted and possibly overlapping
     if isinstance(expr, Explicit):
-        m = 0
-        for x in expr.elements:
-            if x <= bound:
-                m |= 1 << x
-        return m
-    if isinstance(expr, Interval):
-        return _run_mask(expr.lo, expr.hi, bound)
-    if isinstance(expr, Powers):
-        m = 0
+        yield from ((x, x) for x in expr.elements if x <= bound)
+    elif isinstance(expr, Interval):
+        if expr.lo <= bound:
+            yield expr.lo, min(expr.hi, bound)
+    elif isinstance(expr, Powers):
+        if expr.exponent == 1:
+            yield 0, bound
+            return
         n = 0
         while (v := n**expr.exponent) <= bound:
-            m |= 1 << v
+            yield v, v
             n += 1
-        return m
-    if isinstance(expr, BlockFamily):
-        m = 0
+    elif isinstance(expr, BlockFamily):
         for lo, hi in family_blocks(expr, bound):
-            m |= _run_mask(lo, hi, bound)
-        return m
-    if isinstance(expr, Union):
-        return _mask(expr.left, bound) | _mask(expr.right, bound)
-    if isinstance(expr, Augment):
-        m = _mask(expr.base, bound)
-        for x in expr.extra:
-            if x <= bound:
-                m |= 1 << x
-        return m
-    raise TypeError(f"not a SetExpr: {expr!r}")
+            yield lo, min(hi, bound)
+    elif isinstance(expr, Union):
+        yield from _clipped_runs(expr.left, bound)
+        yield from _clipped_runs(expr.right, bound)
+    elif isinstance(expr, Augment):
+        yield from _clipped_runs(expr.base, bound)
+        yield from ((x, x) for x in expr.extra if x <= bound)
+    else:
+        raise TypeError(f"not a SetExpr: {expr!r}")
+
+
+def expr_runs(expr: SetExpr, bound: int) -> list[tuple[int, int]]:
+    """Exact prefix of the denoted set over ``[0, bound]`` as normalized runs.
+
+    Each element of a set of powers is a point run, except that ``powers(1)``
+    is the single run ``[0, bound]``.  No memory ceiling applies: the cost is
+    in the number of runs, not in the bound.
+    """
+    if bound < 0:
+        raise ValueError(f"bound must be >= 0, got {bound}")
+    return merge_runs(sorted(_clipped_runs(expr, bound)))
 
 
 def materialize(expr: SetExpr, bound: int) -> PrefixBitset:
     """Exact prefix of the denoted set over ``[0, bound]``.
 
+    The mask is filled from ``expr_runs`` in O(bound/8 + runs).
     Deterministic: materializing twice yields identical bit vectors.
     """
     if bound < 0:
@@ -458,4 +473,4 @@ def materialize(expr: SetExpr, bound: int) -> PrefixBitset:
             f"bound {bound} exceeds the configured ceiling {ceiling}; "
             f"set {MAX_BOUND_ENV} to raise it"
         )
-    return PrefixBitset(bound, _mask(expr, bound))
+    return PrefixBitset(bound, runs_mask(expr_runs(expr, bound), bound))

@@ -3,6 +3,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from addbasis import PrefixBitset, full_mask, iter_bits
+from addbasis.bitset import runs_mask
 
 
 def test_full_mask_small():
@@ -16,6 +17,16 @@ def test_full_mask_small():
 def test_iter_bits_matches_naive(mask):
     naive = [i for i in range(mask.bit_length()) if (mask >> i) & 1]
     assert list(iter_bits(mask)) == naive
+
+
+@given(st.lists(st.integers(0, 40), max_size=12), st.integers(0, 100))
+def test_runs_mask_matches_naive(cuts, slack):
+    # disjoint runs from sorted distinct cuts, edges falling anywhere in a byte
+    ends = sorted(set(cuts))
+    runs = list(zip(ends[0::2], ends[1::2]))
+    bound = (ends[-1] if ends else 0) + slack
+    naive = sum(1 << i for lo, hi in runs for i in range(lo, hi + 1))
+    assert runs_mask(runs, bound) == naive
 
 
 @given(st.sets(st.integers(0, 500)))

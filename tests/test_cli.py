@@ -59,7 +59,7 @@ class TestCommands:
 
     def test_sumset_singleton(self, capsys):
         rep = run_json(
-            capsys, "sumset", "--set", "explicit{0}", "--h", "7", "--bound", "5"
+            capsys, "sumset", "--set", "explicit{0}", "--h", "5", "--bound", "5"
         )
         assert rep["result"]["members"] == [0]
         assert rep["result"]["gaps"] == [1, 2, 3, 4, 5]
@@ -211,6 +211,19 @@ class TestExitCodes:
         assert out == ""
         assert "64-bit" in err
 
+    def test_fold_count_past_bound(self, capsys):
+        # more folds than max(bound, 1) add nothing, so they are refused before any work
+        for argv in (
+            ["order", "--set", "explicit{1}", "--bound", "10", "--hmax", "200000"],
+            ["sumset", "--set", "explicit{0}", "--h", "7", "--bound", "5"],
+            ["sumset", "--set", "explicit{0}", "--h", "2", "--bound", "0"],
+        ):
+            code, out, err = run_cli(capsys, *argv)
+            assert code == 2
+            assert out == ""
+            assert "exceeds max(bound, 1)" in err
+        assert run_cli(capsys, "order", "--set", "explicit{0}", "--bound", "0", "--hmax", "1")[0] == 0
+
     def test_invalid_report_maps_to_three(self, capsys, monkeypatch):
         import addbasis.cli as cli_mod
 
@@ -253,7 +266,8 @@ class TestReportSchema:
             validate_report(density_report)
 
     def test_malformed_ratio(self, density_report):
-        for bad in ("2/4x", "1/0", "-1/2", "0.5", ""):
+        # "1/2\n" passes a $-anchored pattern; "2/4", "3/1", "0/5" are unreduced
+        for bad in ("2/4x", "1/0", "-1/2", "0.5", "", "1/2\n", "2/4", "3/1", "0/5"):
             report = copy.deepcopy(density_report)
             report["result"]["rows"][0]["ratio"] = bad
             with pytest.raises(jsonschema.ValidationError):

@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from addbasis import (
@@ -7,11 +7,15 @@ from addbasis import (
     CUBES,
     SQUARES,
     Explicit,
+    PrefixBitset,
     SubseqSpec,
+    materialize,
     order_bounds,
+    pair_sumset,
     random_stability_sweep,
     stability_probe,
 )
+from strategies import set_exprs
 
 
 class TestOrderBounds:
@@ -63,6 +67,31 @@ class TestOrderBounds:
     def test_hmax_precondition(self):
         with pytest.raises(ValueError):
             order_bounds(SQUARES, 100, 0)
+
+    @settings(max_examples=40)
+    @given(set_exprs, st.one_of(st.integers(0, 400), st.integers(10_000, 40_000)), st.integers(1, 5))
+    def test_matches_shift_or_scan(self, expr, bound, h_max):
+        base = materialize(expr, bound)
+        assume(base.popcount() <= 300)
+        acc = PrefixBitset(bound, 1)
+        lower, witness = (1, 1) if bound else (0, None)
+        scan = []
+        for h in range(1, h_max + 1):
+            acc = pair_sumset(acc, base, bound)
+            scan.append((h, acc.is_full(), acc.first_gap()))
+            if acc.is_full():
+                break
+            lower, witness = h + 1, acc.first_gap()
+        rep = order_bounds(expr, bound, h_max)
+        assert [(r.h, r.covered, r.first_gap) for r in rep.scan] == scan
+        assert rep.upper == (scan[-1][0] if scan[-1][1] else None)
+        assert (rep.lower, rep.witness) == (lower, witness)
+        assert rep.zero_in_set == (0 in base)
+
+    def test_counterexample_beyond_shift_or_reach(self):
+        # three folds on runs; on shift-OR they would take hours at this bound
+        rep = order_bounds(COUNTEREXAMPLE, 2 * 10**7, 5)
+        assert (rep.upper, rep.lower, rep.witness) == (3, 3, 21)
 
 
 class TestStabilityProbe:

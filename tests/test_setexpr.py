@@ -14,6 +14,7 @@ from addbasis import (
     SemanticError,
     Union,
     contains,
+    expr_runs,
     family_blocks,
     materialize,
     parse_set_expr,
@@ -122,6 +123,10 @@ class TestMaterialize:
     def test_empty_explicit(self):
         assert materialize(Explicit(()), 100).popcount() == 0
 
+    def test_powers_one_is_full(self):
+        # one run, not one big-integer OR per element
+        assert materialize(Powers(1), 10**6).is_full()
+
     def test_longhand_blocks_at_1e4(self):
         longhand = (
             list(range(0, 11))
@@ -159,6 +164,33 @@ class TestMaterialize:
             if x <= bound:
                 expected |= 1 << x
         assert aug.mask == expected
+
+
+class TestExprRuns:
+    def test_examples(self):
+        assert expr_runs(COUNTEREXAMPLE, 25) == [(0, 10), (22, 25)]
+        assert expr_runs(Powers(2), 10) == [(0, 1), (4, 4), (9, 9)]
+        assert expr_runs(Powers(1), 7) == [(0, 7)]
+        assert expr_runs(Explicit(()), 7) == []
+        assert expr_runs(Interval(8, 9), 7) == []
+        # overlapping and adjacent pieces merge
+        expr = parse_set_expr("interval[0,5] | interval[3,9] | explicit{10,12} + {20}")
+        assert expr_runs(expr, 15) == [(0, 10), (12, 12)]
+        # the blocks [0,4], [5,16], [17,64] of this family touch
+        assert expr_runs(BlockFamily(4, 4, 1, 1), 20) == [(0, 20)]
+
+    def test_negative_bound(self):
+        with pytest.raises(ValueError):
+            expr_runs(Powers(2), -1)
+
+    @given(set_exprs, st.integers(0, 3000))
+    def test_normalized_and_exact(self, expr, bound):
+        runs = expr_runs(expr, bound)
+        assert all(lo <= hi <= bound for lo, hi in runs)
+        assert all(hi + 1 < lo for (_, hi), (lo, _) in zip(runs, runs[1:]))
+        members = [i for lo, hi in runs for i in range(lo, hi + 1)]
+        assert members == materialize(expr, bound).to_list()
+        assert members == [n for n in range(bound + 1) if contains(expr, n)]
 
 
 class TestContains:

@@ -1,3 +1,5 @@
+from itertools import islice
+
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -15,7 +17,10 @@ from addbasis import (
     pair_sumset,
     pairsum_contains,
     representation_count,
+    run_sumset,
 )
+from addbasis import sumset as sumset_module
+from addbasis.sumset import RUN_PAIR_WORDS
 from strategies import set_exprs
 
 
@@ -122,6 +127,90 @@ def parse(text):
     from addbasis import parse_set_expr
 
     return parse_set_expr(text)
+
+
+def shift_or_folds(expr, bound):
+    """0A, 1A, 2A, ... by pair_sumset alone, starting from {0}."""
+    base = materialize(expr, bound)
+    acc = PrefixBitset(bound, 1)
+    while True:
+        yield acc
+        acc = pair_sumset(acc, base, bound)
+
+
+@pytest.fixture
+def kernel_calls(monkeypatch):
+    """Counts the folds each kernel runs inside the library."""
+    calls = {"runs": 0, "shift-or": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(sumset_module, "run_sumset", counted("runs", run_sumset))
+    monkeypatch.setattr(sumset_module, "pair_sumset", counted("shift-or", pair_sumset))
+    return calls
+
+
+class TestRunSumset:
+    def test_examples(self):
+        assert run_sumset([(0, 10), (22, 100)], [(0, 10), (22, 100)], 300) == [
+            (0, 20),
+            (22, 200),
+        ]
+        assert run_sumset([(0, 0), (3, 3)], [(0, 0), (3, 3)], 5) == [(0, 0), (3, 3)]
+        assert run_sumset([(5, 9)], [(2, 4)], 10) == [(7, 10)]
+        assert run_sumset([(5, 9)], [(6, 7)], 10) == []
+        assert run_sumset([], [(0, 3)], 10) == []
+
+
+class TestKernelSelection:
+    """iterate_sumset against a plain shift-OR fold and brute force, over both
+    kernels: a fold runs on runs while max(|R|, |A runs|)·|A runs|·RUN_PAIR_WORDS
+    is at most shift-OR's |A| x words."""
+
+    @settings(max_examples=100)
+    @given(set_exprs, st.one_of(st.integers(0, 400), st.integers(10_000, 40_000)))
+    def test_matches_shift_or_and_brute_force(self, expr, bound):
+        base = materialize(expr, bound)
+        assume(base.popcount() <= 300)
+        reference = shift_or_folds(expr, bound)
+        for h in range(5):
+            got = iterate_sumset(expr, h, bound).bits
+            assert got == next(reference)
+            if base.popcount() <= 25:
+                assert set(got.members()) == brute_fold(base.members(), h, bound)
+
+    def test_counterexample_folds_on_runs(self, kernel_calls):
+        bits = iterate_sumset(COUNTEREXAMPLE, 2, 210_000).bits
+        assert tuple(bits.gaps()) == (21, 201, 2001, 20001, 200001)
+        assert iterate_sumset(COUNTEREXAMPLE, 3, 210_000).bits.is_full()
+        assert kernel_calls == {"runs": 5, "shift-or": 0}
+
+    def test_few_short_runs_fold_on_runs(self, kernel_calls):
+        expr = parse("interval[0,10] | interval[22,100] | interval[5000,5100]")
+        got = iterate_sumset(expr, 4, 100_000).bits
+        assert kernel_calls == {"runs": 4, "shift-or": 0}
+        assert got == next(islice(shift_or_folds(expr, 100_000), 4, None))
+
+    def test_scattered_points_fold_on_shift_or(self, kernel_calls):
+        points = (0, 1, 7, 30, 31, 90, 400, 401, 1000, 2500, 7000, 9999)
+        bound = 20_000
+        got = iterate_sumset(Explicit(points), 3, bound).bits
+        assert kernel_calls == {"runs": 0, "shift-or": 3}
+        assert set(got.members()) == brute_fold(points, 3, bound)
+
+    def test_runs_switch_to_shift_or_when_they_multiply(self, kernel_calls):
+        # |A| = 2 and words = 2·RUN_PAIR_WORDS, so shift-OR costs 4 run pairs a
+        # fold: folds 1 and 2 (2 runs x 2) break even, fold 3 (3 runs x 2) does not
+        bound = 128 * RUN_PAIR_WORDS - 1
+        expr = Explicit((0, 3))
+        got = iterate_sumset(expr, 4, bound).bits
+        assert kernel_calls == {"runs": 2, "shift-or": 2}
+        assert got.to_list() == [0, 3, 6, 9, 12]
 
 
 class TestRepresentationCount:
