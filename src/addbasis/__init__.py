@@ -56,7 +56,6 @@ from .sumset import (
     SumsetResult,
     iterate_sumset,
     pair_sumset,
-    pairsum_contains,
     representation_count,
     run_sumset,
 )
@@ -104,7 +103,6 @@ __all__ = [
     "merge_density_reports",
     "order_bounds",
     "pair_sumset",
-    "pairsum_contains",
     "parse_set_expr",
     "parse_subseq",
     "random_stability_sweep",

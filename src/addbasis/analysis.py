@@ -12,9 +12,11 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import islice
 
+from .bitset import PrefixBitset
 from .setexpr import SemanticError, SetExpr, U64_MAX, materialize, to_text
-from .sumset import iterate_sumset
+from .sumset import iterate_sumset, sumset_folds
 
 
 @dataclass(frozen=True)
@@ -136,18 +138,23 @@ def counting(expr: SetExpr, n: int) -> int:
     return materialize(expr, n).count_range(1, n)
 
 
+def _density_rows(
+    fold: PrefixBitset, terms: tuple[tuple[int, int], ...]
+) -> tuple[DensityRow, ...]:
+    rows = []
+    for k, n in terms:
+        cnt = fold.count_range(1, n)
+        rows.append(DensityRow(k, n, cnt, Fraction(cnt, n)))
+    return tuple(rows)
+
+
 def density_sequence(expr: SetExpr, t: int, subseq: SubseqSpec) -> DensityReport:
     """Rows ``(k, n_k, (tA)(n_k), ratio)`` with exact rational ratios."""
     if t < 0:
         raise ValueError(f"fold count must be >= 0, got {t}")
     terms = subseq.indexed_terms()
-    top = terms[-1][1]
-    result = iterate_sumset(expr, t, top)
-    rows = []
-    for k, n in terms:
-        cnt = result.bits.count_range(1, n)
-        rows.append(DensityRow(k, n, cnt, Fraction(cnt, n)))
-    return DensityReport(to_text(expr), t, tuple(rows))
+    fold = iterate_sumset(expr, t, terms[-1][1]).bits
+    return DensityReport(to_text(expr), t, _density_rows(fold, terms))
 
 
 def merge_density_reports(a: DensityReport, b: DensityReport) -> DensityReport:
@@ -199,22 +206,24 @@ class HypothesisReport:
 def hypothesis_probe(expr: SetExpr, h: int, subseq: SubseqSpec) -> HypothesisReport:
     """Sample ``(h-2)A`` and ``(h-1)A`` densities along a subsequence.
 
-    The zero-trend verdict requires the last ratio to undercut both the first
-    ratio and ``ZERO_RATIO``; slow decays report False at desk scale even when
-    the true limit is zero.
+    Both folds are consecutive items of one ``sumset_folds`` chain, so the
+    (h-2)-fold is computed once.  The zero-trend verdict requires the last
+    ratio to undercut both the first ratio and ``ZERO_RATIO``; slow decays
+    report False at desk scale even when the true limit is zero.
     """
     if h < 3:
         raise ValueError(f"the probe needs a claimed order h >= 3, got {h}")
-    low = density_sequence(expr, h - 2, subseq)
-    high = density_sequence(expr, h - 1, subseq)
-    low_ratios = [r.ratio for r in low.rows]
+    terms = subseq.indexed_terms()
+    folds = islice(sumset_folds(expr, terms[-1][1]), h - 2, h)
+    low, high = (_density_rows(fold, terms) for fold in folds)
+    low_ratios = [r.ratio for r in low]
     tail = low_ratios[-max(1, len(low_ratios) // 2) :]
     trending = low_ratios[-1] < low_ratios[0] and low_ratios[-1] < ZERO_RATIO
-    h1_max = max(r.ratio for r in high.rows)
+    h1_max = max(r.ratio for r in high)
     return HypothesisReport(
         h=h,
-        h2_rows=low.rows,
-        h1_rows=high.rows,
+        h2_rows=low,
+        h1_rows=high,
         h2_ratio_trending_to_zero=trending,
         h2_tail_max=max(tail),
         h1_ratio_max=h1_max,

@@ -71,18 +71,19 @@ def _take(iterable, limit: int) -> tuple[list[int], bool]:
     return out, False
 
 
-def _check_folds(flag: str, h: int, bound: int) -> None:
+def _check_folds(flag: str, value: int, fold: int, bound: int) -> None:
     # on [0, N], hA = NA for h >= N when 0 is in A, and hA is empty for h > N
-    # when it is not, so a larger fold count adds only work
-    if h > max(bound, 1):
+    # when it is not, so a fold past that adds only work; `fold` is the
+    # largest fold that `flag` asks for
+    if fold > max(bound, 1):
         raise ValueError(
-            f"{flag} {h} exceeds max(bound, 1) = {max(bound, 1)}; "
-            "more folds add nothing on [0, bound]"
+            f"{flag} {value} needs fold {fold}, which exceeds max(bound, 1) = "
+            f"{max(bound, 1)}; more folds add nothing on [0, bound]"
         )
 
 
 def _cmd_sumset(args) -> tuple[dict, int]:
-    _check_folds("--h", args.h, args.bound)
+    _check_folds("--h", args.h, args.h, args.bound)
     expr = parse_set_expr(args.set)
     result = iterate_sumset(expr, args.h, args.bound)
     members, members_truncated = _take(result.bits.members(), args.limit)
@@ -103,7 +104,7 @@ def _cmd_sumset(args) -> tuple[dict, int]:
 
 
 def _cmd_order(args) -> tuple[dict, int]:
-    _check_folds("--hmax", args.hmax, args.bound)
+    _check_folds("--hmax", args.hmax, args.hmax, args.bound)
     expr = parse_set_expr(args.set)
     rep = order_bounds(expr, args.bound, args.hmax)
     payload = {
@@ -148,6 +149,7 @@ def _cmd_density(args) -> tuple[dict, int]:
 def _cmd_stability(args) -> tuple[dict, int]:
     expr = parse_set_expr(args.set)
     family = parse_subseq(args.subseq, start=args.start, count=args.terms)
+    _check_folds("--h", args.h, args.h - 1, args.bound)
     rep = stability_probe(expr, args.add, args.h, family, args.bound)
     payload = {
         "set": args.set,
@@ -168,6 +170,7 @@ def _cmd_stability(args) -> tuple[dict, int]:
 def _cmd_probe(args) -> tuple[dict, int]:
     expr = parse_set_expr(args.set)
     subseq = parse_subseq(args.subseq, start=args.start, count=args.terms)
+    _check_folds("--h", args.h, args.h - 1, subseq.indexed_terms()[-1][1])
     rep = hypothesis_probe(expr, args.h, subseq)
     payload = {
         "set": args.set,

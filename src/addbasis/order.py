@@ -13,11 +13,10 @@ import random
 from dataclasses import dataclass
 
 from .analysis import SubseqSpec
-from .setexpr import Augment, SetExpr, contains, materialize, to_text
+from .setexpr import Augment, SetExpr, contains, to_text
 from .sumset import (  # noqa: F401  pair_sumset: bench/test_oracles.py traces it here
     iterate_sumset,
     pair_sumset,
-    pairsum_contains,
     representation_count,
     sumset_folds,
 )
@@ -133,9 +132,9 @@ def stability_probe(
 ) -> StabilityReport:
     """Test which family terms stay outside ``(h-1)(A ∪ F)``.
 
-    Decides membership through the kernel (one reverse-AND per term against
-    the (h-2)-fold sumset), then re-verifies every survivor through
-    representation counting.
+    Reads each verdict as membership in the (h-1)-fold of ``sumset_folds``
+    over ``A ∪ F``, then re-verifies every survivor through representation
+    counting.
     """
     if h < 2:
         raise ValueError(f"stability probe needs h >= 2, got {h}")
@@ -146,11 +145,8 @@ def stability_probe(
         )
     extra = tuple(sorted(set(extra)))
     aug_expr: SetExpr = Augment(expr, extra) if extra else expr
-    aug = materialize(aug_expr, bound)
-    partial = iterate_sumset(aug_expr, h - 2, bound)
-    verdicts = tuple(
-        TermVerdict(k, n, pairsum_contains(partial.bits, aug, n)) for k, n in terms
-    )
+    fold = iterate_sumset(aug_expr, h - 1, bound).bits
+    verdicts = tuple(TermVerdict(k, n, n in fold) for k, n in terms)
     survivors = tuple(v.n for v in verdicts if not v.in_sumset)
     for n in survivors:
         if representation_count(aug_expr, h - 1, n) != 0:

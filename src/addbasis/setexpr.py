@@ -73,6 +73,19 @@ def bound_ceiling() -> int:
     return value
 
 
+def check_bound(bound: int) -> None:
+    """Refuse a negative bound, or one above ``bound_ceiling()``: the memory
+    guard for anything that allocates O(bound) space."""
+    if bound < 0:
+        raise ValueError(f"bound must be >= 0, got {bound}")
+    ceiling = bound_ceiling()
+    if bound > ceiling:
+        raise BoundCeilingError(
+            f"bound {bound} exceeds the configured ceiling {ceiling}; "
+            f"set {MAX_BOUND_ENV} to raise it"
+        )
+
+
 def _check_naturals(items, what: str) -> tuple[int, ...]:
     for x in items:
         if x < 0:
@@ -465,12 +478,5 @@ def materialize(expr: SetExpr, bound: int) -> PrefixBitset:
     The mask is filled from ``expr_runs`` in O(bound/8 + runs).
     Deterministic: materializing twice yields identical bit vectors.
     """
-    if bound < 0:
-        raise ValueError(f"bound must be >= 0, got {bound}")
-    ceiling = bound_ceiling()
-    if bound > ceiling:
-        raise BoundCeilingError(
-            f"bound {bound} exceeds the configured ceiling {ceiling}; "
-            f"set {MAX_BOUND_ENV} to raise it"
-        )
+    check_bound(bound)
     return PrefixBitset(bound, runs_mask(expr_runs(expr, bound), bound))

@@ -15,7 +15,7 @@ from itertools import islice
 from typing import Iterator
 
 from .bitset import PrefixBitset, full_mask, iter_bits, runs_mask
-from .setexpr import SetExpr, expr_runs, materialize, merge_runs
+from .setexpr import SetExpr, check_bound, expr_runs, materialize, merge_runs
 
 # Representation counters saturate here; a returned value equal to the cap
 # means "at least this many".
@@ -125,39 +125,22 @@ def iterate_sumset(expr: SetExpr, h: int, bound: int) -> SumsetResult:
     return SumsetResult(h, bound, bits)
 
 
-def pairsum_contains(p: PrefixBitset, q: PrefixBitset, n: int) -> bool:
-    """Decide ``n in P + Q`` without materializing the sumset.
-
-    ANDs P against Q reversed about n: the intersection is nonempty exactly
-    when some split n = a + b hits both sets.  One big-integer AND instead of
-    a full kernel run, so per-term probes stay cheap.
-    """
-    if n < 0:
-        return False
-    if p.bound < n or q.bound < n:
-        raise ValueError(
-            f"bound mismatch: operands bounded at {p.bound} and {q.bound}, need {n}"
-        )
-    qm = q.mask & full_mask(n)
-    reversed_q = int(format(qm, f"0{n + 1}b")[::-1], 2)
-    return (p.mask & reversed_q) != 0
-
-
 def representation_count(expr: SetExpr, h: int, n: int) -> int:
     """Number of ORDERED h-tuples of elements summing to ``n``.
 
-    Dynamic-programming convolution over the exact prefix, independent of the
-    shift-OR kernel; positive iff ``n`` lies in the h-fold sumset.  The count
-    saturates at ``SATURATION_LIMIT``.
+    Dynamic-programming convolution over the elements of ``A ∩ [0, n]``,
+    enumerated from ``expr_runs`` and independent of both sumset kernels;
+    positive iff ``n`` lies in the h-fold sumset.  The count saturates at
+    ``SATURATION_LIMIT``.  The DP holds O(n) counters, so ``n`` is held to
+    the same ceiling as ``materialize``.
     """
     if h < 1:
         raise ValueError(f"fold count must be >= 1, got {h}")
-    if n < 0:
-        raise ValueError(f"target must be >= 0, got {n}")
-    bits = materialize(expr, n)
+    check_bound(n)
+    runs = expr_runs(expr, n)
     if h == 1:
-        return 1 if n in bits else 0
-    elems = bits.to_list()
+        return 1 if runs and runs[-1][1] == n else 0
+    elems = [a for lo, hi in runs for a in range(lo, hi + 1)]
     vec = [0] * (n + 1)
     for a in elems:
         vec[a] = 1

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from addbasis import (
     COUNTEREXAMPLE,
+    SQUARES,
     ZERO_RATIO,
     DensityReport,
     DensityRow,
@@ -18,9 +19,11 @@ from addbasis import (
     density_sequence,
     hypothesis_probe,
     merge_density_reports,
+    pair_sumset,
     parse_subseq,
     window_extrema,
 )
+from addbasis import sumset as sumset_module
 from strategies import set_exprs
 
 LIMINF_RATIOS = (
@@ -227,6 +230,20 @@ class TestHypothesisProbe:
         assert rep.h2_ratio_trending_to_zero == expected
         assert rep.h1_ratio_max == max(r.ratio for r in rep.h1_rows)
         assert rep.h1_strictly_below_one == (rep.h1_ratio_max < 1)
+
+    def test_folds_once(self, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return pair_sumset(*args)
+
+        monkeypatch.setattr(sumset_module, "pair_sumset", counted)
+        subseq = SubseqSpec(1, 10, 0, start=1, count=3)
+        rep = hypothesis_probe(SQUARES, 4, subseq)
+        assert len(calls) == 3  # folds 1, 2 and 3 of one chain, on shift-OR
+        assert rep.h2_rows == density_sequence(SQUARES, 2, subseq).rows
+        assert rep.h1_rows == density_sequence(SQUARES, 3, subseq).rows
 
     def test_requires_h_at_least_three(self):
         with pytest.raises(ValueError):

@@ -217,12 +217,22 @@ class TestExitCodes:
             ["order", "--set", "explicit{1}", "--bound", "10", "--hmax", "200000"],
             ["sumset", "--set", "explicit{0}", "--h", "7", "--bound", "5"],
             ["sumset", "--set", "explicit{0}", "--h", "2", "--bound", "0"],
+            # stability and probe compute folds up to h - 1; probe's bound is its last term
+            ["stability", "--set", "explicit{1}", "--h", "100000", "--subseq", "k",
+             "--terms", "1", "--bound", "10"],
+            ["probe", "--set", "squares", "--h", "12", "--subseq", "10^k", "--terms", "1"],
         ):
             code, out, err = run_cli(capsys, *argv)
             assert code == 2
             assert out == ""
             assert "exceeds max(bound, 1)" in err
-        assert run_cli(capsys, "order", "--set", "explicit{0}", "--bound", "0", "--hmax", "1")[0] == 0
+        for argv in (
+            ["order", "--set", "explicit{0}", "--bound", "0", "--hmax", "1"],
+            ["stability", "--set", "explicit{1}", "--h", "11", "--subseq", "k",
+             "--terms", "1", "--bound", "10"],
+            ["probe", "--set", "squares", "--h", "11", "--subseq", "10^k", "--terms", "1"],
+        ):
+            assert run_cli(capsys, *argv)[0] == 0
 
     def test_invalid_report_maps_to_three(self, capsys, monkeypatch):
         import addbasis.cli as cli_mod

@@ -16,6 +16,7 @@ from addbasis import (
     stability_probe,
 )
 from strategies import set_exprs
+from test_sumset import brute_fold
 
 
 class TestOrderBounds:
@@ -132,6 +133,23 @@ class TestStabilityProbe:
     def test_h_precondition(self):
         with pytest.raises(ValueError):
             stability_probe(COUNTEREXAMPLE, (), 1, SubseqSpec(2, 10, 1, count=1), 100)
+
+    @settings(max_examples=40)
+    @given(
+        set_exprs,
+        st.lists(st.integers(0, 130), max_size=4),
+        st.sampled_from((2, 3)),
+        st.integers(1, 120),
+    )
+    def test_verdicts_match_brute_force(self, expr, extra, h, bound):
+        elements = set(materialize(expr, bound).members()) | {x for x in extra if x <= bound}
+        assume(len(elements) <= 40)
+        family = SubseqSpec(a=1, base=None, c=0, start=1, count=bound)  # 1, 2, ..., bound
+        rep = stability_probe(expr, extra, h, family, bound)
+        fold = brute_fold(elements, h - 1, bound)
+        assert [(v.n, v.in_sumset) for v in rep.verdicts] == [
+            (n, n in fold) for n in range(1, bound + 1)
+        ]
 
     @settings(max_examples=20, deadline=None)
     @given(

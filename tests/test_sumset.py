@@ -8,6 +8,7 @@ from addbasis import (
     COUNTEREXAMPLE,
     SATURATION_LIMIT,
     Augment,
+    BoundCeilingError,
     Explicit,
     Interval,
     PrefixBitset,
@@ -15,7 +16,6 @@ from addbasis import (
     iterate_sumset,
     materialize,
     pair_sumset,
-    pairsum_contains,
     representation_count,
     run_sumset,
 )
@@ -234,6 +234,13 @@ class TestRepresentationCount:
         with pytest.raises(ValueError):
             representation_count(COUNTEREXAMPLE, 2, -1)
 
+    def test_ceiling_guard(self, monkeypatch):
+        # the DP holds n + 1 counters, so n is held to the materialize ceiling
+        monkeypatch.setenv("ADDBASIS_MAX_BOUND", "1000")
+        assert representation_count(COUNTEREXAMPLE, 2, 1000) > 0
+        with pytest.raises(BoundCeilingError):
+            representation_count(COUNTEREXAMPLE, 2, 1001)
+
     def test_saturation_cap(self):
         # interval [0,60], h=40: counts blow far past 2^64 and must clamp
         big = representation_count(Interval(0, 60), 40, 30)
@@ -246,22 +253,6 @@ class TestRepresentationCount:
         assume(bits.popcount() <= 60)
         member = n in iterate_sumset(expr, h, n).bits
         assert (representation_count(expr, h, n) > 0) == member
-
-
-class TestPairsumContains:
-    @settings(max_examples=30)
-    @given(set_exprs, set_exprs, st.integers(0, 200))
-    def test_matches_kernel(self, a, b, bound):
-        p = materialize(a, bound)
-        q = materialize(b, bound)
-        full = pair_sumset(p, q, bound)
-        for n in range(0, bound + 1, 7):
-            assert pairsum_contains(p, q, n) == (n in full)
-
-    def test_bound_mismatch(self):
-        p = materialize(Explicit((0,)), 5)
-        with pytest.raises(ValueError):
-            pairsum_contains(p, p, 6)
 
 
 def sumset_gaps(expr, h, bound):
