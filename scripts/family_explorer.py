@@ -34,8 +34,7 @@ def explore(base: int, bound: int, hmax: int) -> dict:
 
     probe = stability_probe(family, (), 3, subseq, bound)
     density = density_sequence(family, 1, subseq)
-    tail = min(4, len(density.rows))
-    lo, hi = window_extrema(density, tail)
+    lo, hi = window_extrema(density.rows[-4:])
     return {
         "base": base,
         "upper": order.upper,

@@ -16,7 +16,6 @@ from .analysis import (
     counting,
     density_sequence,
     hypothesis_probe,
-    merge_density_reports,
     parse_subseq,
     window_extrema,
 )
@@ -52,7 +51,6 @@ from .setexpr import (
     to_text,
 )
 from .sumset import (
-    SATURATION_LIMIT,
     SumsetResult,
     iterate_sumset,
     pair_sumset,
@@ -78,7 +76,6 @@ __all__ = [
     "ParseError",
     "Powers",
     "PrefixBitset",
-    "SATURATION_LIMIT",
     "SQUARES",
     "SemanticError",
     "SetExpr",
@@ -100,7 +97,6 @@ __all__ = [
     "iter_bits",
     "iterate_sumset",
     "materialize",
-    "merge_density_reports",
     "order_bounds",
     "pair_sumset",
     "parse_set_expr",

@@ -10,9 +10,10 @@ labeled as empirical estimates, never as limits.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
+from typing import Sequence
 
 from .bitset import PrefixBitset
 from .setexpr import SemanticError, SetExpr, U64_MAX, materialize, to_text
@@ -118,15 +119,10 @@ class DensityReport:
     set_text: str
     fold: int
     rows: tuple[DensityRow, ...]
-    min_ratio: Fraction = field(init=False)
-    max_ratio: Fraction = field(init=False)
 
     def __post_init__(self):
         if not self.rows:
             raise ValueError("density report needs at least one row")
-        ratios = [r.ratio for r in self.rows]
-        object.__setattr__(self, "min_ratio", min(ratios))
-        object.__setattr__(self, "max_ratio", max(ratios))
 
 
 def counting(expr: SetExpr, n: int) -> int:
@@ -157,25 +153,15 @@ def density_sequence(expr: SetExpr, t: int, subseq: SubseqSpec) -> DensityReport
     return DensityReport(to_text(expr), t, _density_rows(fold, terms))
 
 
-def merge_density_reports(a: DensityReport, b: DensityReport) -> DensityReport:
-    """Interleave two reports of the same set and fold, ordered by n."""
-    if a.set_text != b.set_text or a.fold != b.fold:
-        raise ValueError("can only merge reports of the same set and fold")
-    rows = sorted(a.rows + b.rows, key=lambda r: (r.n, r.k))
-    return DensityReport(a.set_text, a.fold, tuple(rows))
-
-
-def window_extrema(report: DensityReport, tail: int) -> tuple[Fraction, Fraction]:
-    """Min and max ratio over the last ``tail`` rows.
+def window_extrema(rows: Sequence[DensityRow]) -> tuple[Fraction, Fraction]:
+    """Min and max ratio over a window of rows; the caller picks the window.
 
     A finite stand-in for liminf/limsup: an estimate over the sampled window,
     never a convergence claim.
     """
-    if tail < 1:
-        raise ValueError(f"tail must be >= 1, got {tail}")
-    if tail > len(report.rows):
-        raise ValueError(f"tail {tail} exceeds row count {len(report.rows)}")
-    ratios = [r.ratio for r in report.rows[-tail:]]
+    if not rows:
+        raise ValueError("the window needs at least one row")
+    ratios = [r.ratio for r in rows]
     return min(ratios), max(ratios)
 
 
@@ -216,16 +202,15 @@ def hypothesis_probe(expr: SetExpr, h: int, subseq: SubseqSpec) -> HypothesisRep
     terms = subseq.indexed_terms()
     folds = islice(sumset_folds(expr, terms[-1][1]), h - 2, h)
     low, high = (_density_rows(fold, terms) for fold in folds)
-    low_ratios = [r.ratio for r in low]
-    tail = low_ratios[-max(1, len(low_ratios) // 2) :]
-    trending = low_ratios[-1] < low_ratios[0] and low_ratios[-1] < ZERO_RATIO
-    h1_max = max(r.ratio for r in high)
+    _, tail_max = window_extrema(low[-max(1, len(low) // 2) :])
+    _, h1_max = window_extrema(high)
+    trending = low[-1].ratio < low[0].ratio and low[-1].ratio < ZERO_RATIO
     return HypothesisReport(
         h=h,
         h2_rows=low,
         h1_rows=high,
         h2_ratio_trending_to_zero=trending,
-        h2_tail_max=max(tail),
+        h2_tail_max=tail_max,
         h1_ratio_max=h1_max,
         h1_strictly_below_one=h1_max < 1,
     )

@@ -14,7 +14,7 @@ from dataclasses import asdict
 
 import jsonschema
 
-from .analysis import density_sequence, hypothesis_probe, parse_subseq
+from .analysis import SubseqSpec, density_sequence, hypothesis_probe, parse_subseq, window_extrema
 from .order import VerificationError, order_bounds, stability_probe
 from .report import (
     SCHEMA_VERSION,
@@ -82,6 +82,18 @@ def _check_folds(flag: str, value: int, fold: int, bound: int) -> None:
         )
 
 
+# --terms sets the rows of a density or probe report and the family of a
+# stability probe, and time and report size grow with it; no documented
+# command or benchmark job asks for more than 40
+MAX_TERMS = 1000
+
+
+def _subseq(args) -> SubseqSpec:
+    if args.terms > MAX_TERMS:
+        raise ValueError(f"--terms {args.terms} exceeds MAX_TERMS = {MAX_TERMS}")
+    return parse_subseq(args.subseq, start=args.start, count=args.terms)
+
+
 def _cmd_sumset(args) -> tuple[dict, int]:
     _check_folds("--h", args.h, args.h, args.bound)
     expr = parse_set_expr(args.set)
@@ -114,7 +126,7 @@ def _cmd_order(args) -> tuple[dict, int]:
         "upper": rep.upper,
         "lower": rep.lower,
         "witness": rep.witness,
-        "witness_fold": rep.witness_fold if rep.witness is not None else None,
+        "witness_fold": rep.witness_fold,
         "certified_lower": rep.certified_lower,
         "zero_in_set": rep.zero_in_set,
         "coverage_label": (
@@ -131,8 +143,10 @@ def _cmd_order(args) -> tuple[dict, int]:
 
 def _cmd_density(args) -> tuple[dict, int]:
     expr = parse_set_expr(args.set)
-    subseq = parse_subseq(args.subseq, start=args.start, count=args.terms)
+    subseq = _subseq(args)
+    _check_folds("--t", args.t, args.t, subseq.indexed_terms()[-1][1])
     rep = density_sequence(expr, args.t, subseq)
+    min_ratio, max_ratio = window_extrema(rep.rows)
     payload = {
         "set": args.set,
         "t": args.t,
@@ -140,15 +154,15 @@ def _cmd_density(args) -> tuple[dict, int]:
         "start": args.start,
         "terms": args.terms,
         "rows": density_rows_payload(rep.rows),
-        "min_ratio": str(rep.min_ratio),
-        "max_ratio": str(rep.max_ratio),
+        "min_ratio": str(min_ratio),
+        "max_ratio": str(max_ratio),
     }
     return payload, 0
 
 
 def _cmd_stability(args) -> tuple[dict, int]:
     expr = parse_set_expr(args.set)
-    family = parse_subseq(args.subseq, start=args.start, count=args.terms)
+    family = _subseq(args)
     _check_folds("--h", args.h, args.h - 1, args.bound)
     rep = stability_probe(expr, args.add, args.h, family, args.bound)
     payload = {
@@ -169,7 +183,7 @@ def _cmd_stability(args) -> tuple[dict, int]:
 
 def _cmd_probe(args) -> tuple[dict, int]:
     expr = parse_set_expr(args.set)
-    subseq = parse_subseq(args.subseq, start=args.start, count=args.terms)
+    subseq = _subseq(args)
     _check_folds("--h", args.h, args.h - 1, subseq.indexed_terms()[-1][1])
     rep = hypothesis_probe(expr, args.h, subseq)
     payload = {
@@ -207,8 +221,7 @@ def _cmd_verify(args) -> tuple[dict, int]:
 
 def _add_format_flags(sp: argparse.ArgumentParser, plot_data: bool = False) -> None:
     fmt = sp.add_mutually_exclusive_group()
-    fmt.add_argument("--json", action="store_true", help="JSON report (default)")
-    fmt.add_argument("--csv", action="store_true", help="rows-only CSV")
+    fmt.add_argument("--csv", action="store_true", help="rows-only CSV instead of the JSON report")
     # only reports with (k, n, ratio) rows get the flag
     if plot_data:
         fmt.add_argument(
@@ -283,7 +296,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 # parsed attributes that are not inputs of the computation
-_NOT_INPUTS = ("command", "handler", "json", "csv", "plot_data")
+_NOT_INPUTS = ("command", "handler", "csv", "plot_data")
 
 
 def main(argv: list[str] | None = None) -> int:

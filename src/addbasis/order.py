@@ -40,7 +40,8 @@ class OrderReport:
     ``upper`` is the smallest h whose h-fold sumset covers the prefix
     (prefix-verified only); ``lower`` is the largest h whose (h-1)-fold
     sumset has a gap, and the gap witness certifies ``order > h - 1``
-    for the infinite set.
+    for the infinite set.  ``witness_fold`` is that h - 1, or None when
+    there is no witness.
     """
 
     set_text: str
@@ -49,7 +50,7 @@ class OrderReport:
     upper: int | None
     lower: int
     witness: int | None
-    witness_fold: int
+    witness_fold: int | None
     certified_lower: bool
     zero_in_set: bool
     scan: tuple[OrderScanRow, ...]
@@ -90,7 +91,7 @@ def order_bounds(expr: SetExpr, bound: int, h_max: int) -> OrderReport:
         upper=upper,
         lower=lower,
         witness=witness,
-        witness_fold=lower - 1,
+        witness_fold=lower - 1 if witness is not None else None,
         certified_lower=witness is not None,
         zero_in_set=contains(expr, 0),
         scan=tuple(scan),

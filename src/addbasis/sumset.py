@@ -17,11 +17,6 @@ from typing import Iterator
 from .bitset import PrefixBitset, full_mask, iter_bits, runs_mask
 from .setexpr import SetExpr, check_bound, expr_runs, materialize, merge_runs
 
-# Representation counters saturate here; a returned value equal to the cap
-# means "at least this many".
-SATURATION_LIMIT = 2**64 - 1
-
-
 @dataclass(frozen=True)
 class SumsetResult:
     """The h-fold sumset of a set, windowed to ``[0, bound]``."""
@@ -130,8 +125,8 @@ def representation_count(expr: SetExpr, h: int, n: int) -> int:
 
     Dynamic-programming convolution over the elements of ``A ∩ [0, n]``,
     enumerated from ``expr_runs`` and independent of both sumset kernels;
-    positive iff ``n`` lies in the h-fold sumset.  The count saturates at
-    ``SATURATION_LIMIT``.  The DP holds O(n) counters, so ``n`` is held to
+    positive iff ``n`` lies in the h-fold sumset.  The count is exact (Python
+    ints do not overflow).  The DP holds O(n) counters, so ``n`` is held to
     the same ceiling as ``materialize``.
     """
     if h < 1:
@@ -153,4 +148,4 @@ def representation_count(expr: SetExpr, h: int, n: int) -> int:
     total = 0
     for a in elems:
         total += vec[n - a]
-    return min(total, SATURATION_LIMIT)
+    return total

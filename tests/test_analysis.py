@@ -18,7 +18,6 @@ from addbasis import (
     counting,
     density_sequence,
     hypothesis_probe,
-    merge_density_reports,
     pair_sumset,
     parse_subseq,
     window_extrema,
@@ -159,46 +158,41 @@ class TestDensity:
         assert counts == sorted(counts)
         for r in rep.rows:
             assert 0 <= r.ratio <= 1
-        assert rep.min_ratio == min(r.ratio for r in rep.rows)
-        assert rep.max_ratio == max(r.ratio for r in rep.rows)
+        ratios = [r.ratio for r in rep.rows]
+        assert window_extrema(rep.rows) == (min(ratios), max(ratios))
 
 
 class TestWindowExtrema:
-    def _merged_tails(self):
+    def _tails(self):
         low = density_sequence(COUNTEREXAMPLE, 1, SubseqSpec(2, 10, 1, start=3, count=3))
         high = density_sequence(COUNTEREXAMPLE, 1, SubseqSpec(1, 10, 0, start=3, count=3))
-        return merge_density_reports(low, high)
+        return low.rows + high.rows
 
-    def test_interleaved_counterexample(self):
-        merged = self._merged_tails()
-        assert [r.n for r in merged.rows] == [1000, 2001, 10000, 20001, 100000, 200001]
-        mn, mx = window_extrema(merged, 4)
+    def test_both_tails_counterexample(self):
+        window = [r for r in self._tails() if r.k >= 4]
+        assert sorted(r.n for r in window) == [10000, 20001, 100000, 200001]
+        mn, mx = window_extrema(window)
         assert mn == Fraction(8887, 20001)
         assert mx == Fraction(88886, 100000)
         assert mx - mn > Fraction(2, 5)
+        # the window is a set of rows: their order does not matter
+        assert window_extrema(window[::-1]) == (mn, mx)
 
     def test_constant_ratio_interval(self):
         rep = density_sequence(Interval(0, 1000), 1, SubseqSpec(1, 10, 0, start=1, count=3))
-        mn, mx = window_extrema(rep, 3)
+        mn, mx = window_extrema(rep.rows)
         assert mn == mx == 1
 
     def test_single_row(self):
         rep = density_sequence(Explicit((1,)), 1, SubseqSpec(1, 10, 0, start=1, count=1))
-        mn, mx = window_extrema(rep, 1)
+        mn, mx = window_extrema(rep.rows[-4:])
         assert mn == mx == Fraction(1, 10)
 
     def test_empty_window_rejected(self):
-        rep = self._merged_tails()
-        with pytest.raises(ValueError):
-            window_extrema(rep, 0)
-        with pytest.raises(ValueError):
-            window_extrema(rep, len(rep.rows) + 1)
-
-    def test_merge_requires_same_shape(self):
-        a = density_sequence(COUNTEREXAMPLE, 1, SubseqSpec(1, 10, 0, start=1, count=2))
-        b = density_sequence(COUNTEREXAMPLE, 2, SubseqSpec(1, 10, 0, start=1, count=2))
-        with pytest.raises(ValueError):
-            merge_density_reports(a, b)
+        rows = self._tails()
+        for window in ((), rows[len(rows):], [r for r in rows if r.k > 5]):
+            with pytest.raises(ValueError):
+                window_extrema(window)
 
 
 class TestHypothesisProbe:

@@ -7,7 +7,7 @@ from fractions import Fraction
 import jsonschema
 import pytest
 
-from addbasis.cli import main, nat_arg
+from addbasis.cli import MAX_TERMS, main, nat_arg
 from addbasis.report import RESULT_SCHEMAS, validate_report
 
 
@@ -221,6 +221,10 @@ class TestExitCodes:
             ["stability", "--set", "explicit{1}", "--h", "100000", "--subseq", "k",
              "--terms", "1", "--bound", "10"],
             ["probe", "--set", "squares", "--h", "12", "--subseq", "10^k", "--terms", "1"],
+            # density computes fold t; its bound is its last term
+            ["density", "--set", "explicit{1}", "--t", "1000000", "--subseq", "k", "--terms", "1"],
+            ["density", "--set", "explicit{1}", "--t", "11", "--subseq", "k", "--start", "10",
+             "--terms", "1"],
         ):
             code, out, err = run_cli(capsys, *argv)
             assert code == 2
@@ -231,8 +235,40 @@ class TestExitCodes:
             ["stability", "--set", "explicit{1}", "--h", "11", "--subseq", "k",
              "--terms", "1", "--bound", "10"],
             ["probe", "--set", "squares", "--h", "11", "--subseq", "10^k", "--terms", "1"],
+            ["density", "--set", "explicit{1}", "--t", "10", "--subseq", "k", "--start", "10",
+             "--terms", "1"],
         ):
             assert run_cli(capsys, *argv)[0] == 0
+
+    def test_terms_cap(self, capsys):
+        # --terms sets the rows of a report, so it is refused past MAX_TERMS before any fold
+        for argv in (
+            ["density", "--set", "explicit{1}", "--subseq", "k"],
+            ["stability", "--set", "explicit{1}", "--h", "2", "--subseq", "k", "--bound", "2000"],
+            ["probe", "--set", "explicit{1}", "--h", "3", "--subseq", "k"],
+        ):
+            code, out, err = run_cli(capsys, *argv, "--terms", str(MAX_TERMS + 1))
+            assert code == 2
+            assert out == ""
+            assert f"exceeds MAX_TERMS = {MAX_TERMS}" in err
+            report = run_json(capsys, *argv, "--terms", str(MAX_TERMS))
+            assert report["inputs"]["terms"] == MAX_TERMS
+
+    def test_json_flag_rejected(self, capsys):
+        # JSON is the default report, so there is no flag for it
+        for argv in (
+            ["verify-counterexample", "--bound", "21000"],
+            ["sumset", "--set", "squares", "--h", "2", "--bound", "100"],
+            ["order", "--set", "squares", "--bound", "100", "--hmax", "4"],
+            ["density", "--set", "squares", "--subseq", "10^k", "--terms", "2"],
+            ["stability", "--set", "counterexample", "--h", "3", "--subseq", "2*10^k+1",
+             "--terms", "2", "--bound", "2100"],
+            ["probe", "--set", "squares", "--h", "4", "--subseq", "10^k", "--terms", "2"],
+        ):
+            code, out, err = run_cli(capsys, *argv, "--json")
+            assert code == 2
+            assert out == ""
+            assert "unrecognized arguments: --json" in err
 
     def test_invalid_report_maps_to_three(self, capsys, monkeypatch):
         import addbasis.cli as cli_mod

@@ -55,6 +55,13 @@ class TestOrderBounds:
         rep = order_bounds(Explicit((0, 1)), 5, 5)
         assert (rep.upper, rep.lower, rep.witness) == (5, 5, 5)
 
+    def test_no_witness_no_fold(self):
+        # {0} covers [0, 0], so no fold has a gap and nothing is certified
+        rep = order_bounds(SQUARES, 0, 1)
+        assert (rep.upper, rep.lower, rep.witness) == (1, 0, None)
+        assert rep.witness_fold is None
+        assert not rep.certified_lower
+
     def test_no_zero_never_covers(self):
         rep = order_bounds(Explicit((1,)), 3, 4)
         assert rep.upper is None
@@ -87,6 +94,7 @@ class TestOrderBounds:
         assert [(r.h, r.covered, r.first_gap) for r in rep.scan] == scan
         assert rep.upper == (scan[-1][0] if scan[-1][1] else None)
         assert (rep.lower, rep.witness) == (lower, witness)
+        assert rep.witness_fold == (lower - 1 if witness is not None else None)
         assert rep.zero_in_set == (0 in base)
 
     def test_counterexample_beyond_shift_or_reach(self):

@@ -1,3 +1,4 @@
+import math
 from itertools import islice
 
 import pytest
@@ -6,7 +7,6 @@ from hypothesis import strategies as st
 
 from addbasis import (
     COUNTEREXAMPLE,
-    SATURATION_LIMIT,
     Augment,
     BoundCeilingError,
     Explicit,
@@ -241,10 +241,12 @@ class TestRepresentationCount:
         with pytest.raises(BoundCeilingError):
             representation_count(COUNTEREXAMPLE, 2, 1001)
 
-    def test_saturation_cap(self):
-        # interval [0,60], h=40: counts blow far past 2^64 and must clamp
+    def test_exact_past_64_bits(self):
+        # interval [0,60], h=40, n=30: every addend is at most 30, so the count
+        # is the C(69, 39) weak compositions of 30 into 40 parts, far past 2^64
         big = representation_count(Interval(0, 60), 40, 30)
-        assert big == SATURATION_LIMIT
+        assert big == math.comb(69, 39)
+        assert big > 2**64
 
     @settings(max_examples=20)
     @given(set_exprs, st.integers(1, 3), st.integers(0, 120))
