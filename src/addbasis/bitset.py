@@ -8,11 +8,13 @@ which is what makes the shift-OR sumset kernel fast enough at desk scale.
 
 from __future__ import annotations
 
+import re
 from typing import Iterable, Iterator
 
 # Set-bit offsets per byte value, for streaming members out of a large mask.
 # Peeling bits off the integer directly would copy the whole mask per bit.
 _BYTE_BITS = tuple(tuple(b for b in range(8) if (v >> b) & 1) for v in range(256))
+_NONZERO_STRETCH = re.compile(rb"[^\x00]+")
 
 
 def full_mask(bound: int) -> int:
@@ -47,11 +49,15 @@ def iter_bits(mask: int) -> Iterator[int]:
     if mask < 0:
         raise ValueError("mask must be nonnegative")
     buf = mask.to_bytes((mask.bit_length() + 7) // 8, "little")
-    for i, byte in enumerate(buf):
-        if byte:
-            base = i << 3
+    # the regex engine skips zero bytes in C, so a sparse mask costs its
+    # nonzero bytes rather than all of them; a stretch per match keeps the
+    # per-match overhead off dense masks
+    for stretch in _NONZERO_STRETCH.finditer(buf):
+        base = stretch.start() << 3
+        for byte in stretch.group():
             for off in _BYTE_BITS[byte]:
                 yield base + off
+            base += 8
 
 
 class PrefixBitset:

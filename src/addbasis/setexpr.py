@@ -400,8 +400,8 @@ def contains(expr: SetExpr, n: int) -> bool:
     if isinstance(expr, Powers):
         return _iroot(n, expr.exponent) ** expr.exponent == n
     if isinstance(expr, BlockFamily):
-        # walks the blocks itself, apart from family_blocks: verify._recount
-        # checks the bitset pipeline against this path
+        # walks the blocks itself, apart from family_blocks: the tests scan
+        # it as the oracle for verify._recount's closed-form count
         if n <= expr.head_end:
             return True
         i = 2

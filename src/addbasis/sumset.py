@@ -10,8 +10,10 @@ bound are valid unconditionally.
 from __future__ import annotations
 
 import heapq
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from itertools import islice
+from itertools import groupby, islice
+from math import comb, factorial
 from typing import Iterator
 
 from .bitset import PrefixBitset, full_mask, iter_bits, runs_mask
@@ -120,14 +122,43 @@ def iterate_sumset(expr: SetExpr, h: int, bound: int) -> SumsetResult:
     return SumsetResult(h, bound, bits)
 
 
+def _box_tuples(picked: list[int], widths: list[int], m: int) -> int:
+    """Ordered tuples drawn from the runs of the multiset ``picked`` (run
+    indices, nondecreasing) whose offsets above the runs' low ends sum to ``m``.
+
+    Each of the ``h!/Πμ!`` orders of the multiset admits the same offset tuples
+    ``0 <= x < w``.  Inclusion–exclusion over how many of a run's ``μ`` offsets
+    reach its width ``w`` counts them:
+    ``Σ_j Π (-1)^j·C(μ, j) · C(m - Σ j·w + h - 1, h - 1)``, skipping negative
+    remainders.  Terms with equal remainders are merged as the groups go.
+    """
+    h = len(picked)
+    arrangements = factorial(h)
+    terms = {m: 1}
+    for i, group in groupby(picked):
+        mu = sum(1 for _ in group)
+        arrangements //= factorial(mu)
+        w = widths[i]
+        merged: dict[int, int] = {}
+        for r, c in terms.items():
+            for j in range(min(mu, r // w) + 1):
+                term = comb(mu, j) * (-c if j & 1 else c)
+                merged[r - j * w] = merged.get(r - j * w, 0) + term
+        terms = merged
+    return arrangements * sum(c * comb(r + h - 1, h - 1) for r, c in terms.items())
+
+
 def representation_count(expr: SetExpr, h: int, n: int) -> int:
     """Number of ORDERED h-tuples of elements summing to ``n``.
 
-    Dynamic-programming convolution over the elements of ``A ∩ [0, n]``,
-    enumerated from ``expr_runs`` and independent of both sumset kernels;
-    positive iff ``n`` lies in the h-fold sumset.  The count is exact (Python
-    ints do not overflow).  The DP holds O(n) counters, so ``n`` is held to
-    the same ceiling as ``materialize``.
+    Counted in closed form over the runs of ``A ∩ [0, n]`` from ``expr_runs``,
+    independent of both sumset kernels; positive iff ``n`` lies in the h-fold
+    sumset.  Run multisets ``i_1 <= ... <= i_h`` are enumerated depth-first,
+    pruned to those whose low ends can sum to at most ``n`` and high ends to
+    at least ``n``, so the last run is a bisect range; ``_box_tuples`` counts
+    each.  The cost is in run multisets, not in ``n``, and the count is exact
+    (Python ints do not overflow).  ``n`` is held to the ``materialize``
+    ceiling, the guard every bound-taking entry point shares.
     """
     if h < 1:
         raise ValueError(f"fold count must be >= 1, got {h}")
@@ -135,17 +166,37 @@ def representation_count(expr: SetExpr, h: int, n: int) -> int:
     runs = expr_runs(expr, n)
     if h == 1:
         return 1 if runs and runs[-1][1] == n else 0
-    elems = [a for lo, hi in runs for a in range(lo, hi + 1)]
-    vec = [0] * (n + 1)
-    for a in elems:
-        vec[a] = 1
-    for _ in range(h - 2):
-        nxt = [0] * (n + 1)
-        for a in elems:
-            for m in range(a, n + 1):
-                nxt[m] += vec[m - a]
-        vec = nxt
+    if not runs:
+        return 0
+    los = [lo for lo, _ in runs]
+    his = [hi for _, hi in runs]
+    widths = [hi - lo + 1 for lo, hi in runs]
+    top = his[-1]
+
+    def candidates(start: int, left: int, lo_sum: int, hi_sum: int) -> Iterator[int]:
+        # runs i >= start for the next of `left` open places: the low ends,
+        # all at least lo_i from here on, must not pass n, and hi_i with the
+        # top run in every later place must reach it
+        first = bisect_left(his, n - hi_sum - (left - 1) * top)
+        return iter(range(max(start, first), bisect_right(los, (n - lo_sum) // left)))
+
+    # an explicit stack rather than recursion: h may exceed the recursion limit.
+    # Each open place holds its candidate runs and the (Σ lo, Σ hi) before it.
     total = 0
-    for a in elems:
-        total += vec[n - a]
+    picked: list[int] = []
+    places = [(candidates(0, h, 0, 0), 0, 0)]
+    while places:
+        runs_left, lo_sum, hi_sum = places[-1]
+        i = next(runs_left, None)
+        del picked[len(places) - 1 :]
+        if i is None:
+            places.pop()
+            continue
+        picked.append(i)
+        lo_sum += los[i]
+        hi_sum += his[i]
+        if len(picked) == h:
+            total += _box_tuples(picked, widths, n - lo_sum)
+        else:
+            places.append((candidates(i, h - len(picked), lo_sum, hi_sum), lo_sum, hi_sum))
     return total

@@ -2,9 +2,9 @@
 
 Composes only public library operations: order bracketing, two-fold gap
 listing, density rows along both index subsequences with an independent
-membership recount, window extrema over both tails, and a seeded
-random stability sweep.  Each claim reports PASS/FAIL with enough detail to
-re-derive the verdict.
+recount of the block family from its parameters, window extrema over both
+tails, and a seeded random stability sweep.  Each claim reports PASS/FAIL
+with enough detail to re-derive the verdict.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from .order import (
     random_stability_sweep,
 )
 from .report import density_rows_payload, frac_decimal
-from .setexpr import COUNTEREXAMPLE, contains
+from .setexpr import COUNTEREXAMPLE, BlockFamily
 from .sumset import iterate_sumset, representation_count
 
 MIN_VERIFY_BOUND = 21000
@@ -55,9 +55,22 @@ class VerifyOutcome:
     passed: bool
 
 
-def _recount(expr, n: int) -> int:
-    # structural membership scan, independent of the bitset pipeline
-    return sum(1 for i in range(1, n + 1) if contains(expr, i))
+def _recount(family: BlockFamily, n: int) -> int:
+    """Members of ``family`` in ``[1, n]``, counted from its parameters.
+
+    Walks the blocks itself, apart from ``family_blocks`` and ``expr_runs``,
+    so it stays independent of the bitset pipeline.  Each block adds its part
+    in ``[1, n]`` not already covered: with ``mult = 1, offset = 0`` a block
+    starts where the previous one ends, and the head may reach into block 2.
+    """
+    count = covered = min(family.head_end, n)
+    j = 2
+    while (lo := family.mult * family.base ** (j - 1) + family.offset) <= n:
+        hi = min(family.base**j, n)
+        count += max(0, hi - max(lo, covered + 1) + 1)
+        covered = max(covered, hi)
+        j += 1
+    return count
 
 
 def _density_claim(expr, bound: int) -> tuple[Claim, DensityReport, DensityReport]:

@@ -19,6 +19,12 @@ def test_iter_bits_matches_naive(mask):
     assert list(iter_bits(mask)) == naive
 
 
+def test_iter_bits_sparse_mask():
+    # runs of zero bytes between isolated, adjacent and byte-edge bits
+    bits = [0, 7, 8, 9, 63, 64, 4095, 100_000, 100_001, 999_999, 1_000_000, 3_000_007]
+    assert list(iter_bits(sum(1 << i for i in bits))) == bits
+
+
 @given(st.lists(st.integers(0, 40), max_size=12), st.integers(0, 100))
 def test_runs_mask_matches_naive(cuts, slack):
     # disjoint runs from sorted distinct cuts, edges falling anywhere in a byte

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from itertools import islice
 
 import pytest
@@ -12,6 +13,7 @@ from addbasis import (
     Explicit,
     Interval,
     PrefixBitset,
+    contains,
     full_mask,
     iterate_sumset,
     materialize,
@@ -20,6 +22,7 @@ from addbasis import (
     run_sumset,
 )
 from addbasis import sumset as sumset_module
+from addbasis.order import order_bounds
 from addbasis.sumset import RUN_PAIR_WORDS
 from strategies import set_exprs
 
@@ -213,6 +216,25 @@ class TestKernelSelection:
         assert got.to_list() == [0, 3, 6, 9, 12]
 
 
+def dp_representation_count(expr, h, n):
+    """Ordered h-tuples of elements summing to n, by dynamic-programming
+    convolution over every element of A ∩ [0, n]: O(h·|A|·n) time, O(n)
+    memory.  The oracle for the closed-form count at small n."""
+    elems = [a for a in range(n + 1) if contains(expr, a)]
+    if h == 1:
+        return 1 if n in elems else 0
+    vec = [0] * (n + 1)
+    for a in elems:
+        vec[a] = 1
+    for _ in range(h - 2):
+        nxt = [0] * (n + 1)
+        for a in elems:
+            for m in range(a, n + 1):
+                nxt[m] += vec[m - a]
+        vec = nxt
+    return sum(vec[n - a] for a in elems)
+
+
 class TestRepresentationCount:
     def test_tiny_pair(self):
         assert representation_count(Explicit((0, 1)), 2, 1) == 2
@@ -235,7 +257,7 @@ class TestRepresentationCount:
             representation_count(COUNTEREXAMPLE, 2, -1)
 
     def test_ceiling_guard(self, monkeypatch):
-        # the DP holds n + 1 counters, so n is held to the materialize ceiling
+        # the count holds no O(n) memory, but n shares the materialize ceiling
         monkeypatch.setenv("ADDBASIS_MAX_BOUND", "1000")
         assert representation_count(COUNTEREXAMPLE, 2, 1000) > 0
         with pytest.raises(BoundCeilingError):
@@ -247,6 +269,36 @@ class TestRepresentationCount:
         big = representation_count(Interval(0, 60), 40, 30)
         assert big == math.comb(69, 39)
         assert big > 2**64
+
+    def test_equal_runs_grouped(self):
+        # interval[0,1], h = 40, n = 40: only all-ones; one group of 40 equal
+        # runs needs 21 inclusion-exclusion terms where subsets would need 2^40
+        assert representation_count(Interval(0, 1), 40, 40) == 1
+
+    def test_fold_past_recursion_limit(self):
+        assert representation_count(Explicit((0, 1)), 1000, 1000) == 1
+        assert representation_count(Explicit((0, 1)), 1000, 1001) == 0
+
+    def test_counterexample_three_fold(self):
+        # matches the DP oracle, which is too slow at this n for the suite
+        assert representation_count(COUNTEREXAMPLE, 3, 20001) == 45451216
+
+    def test_witness_past_two_million_in_little_memory(self):
+        # the re-check of witness 2,000,001 at fold 2 must not hold O(n)
+        # memory: a DP over [0, n] traces about 57 MB for this call
+        tracemalloc.start()
+        try:
+            report = order_bounds(Interval(0, 10**6), 2_000_001, 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (report.witness, report.witness_fold) == (2_000_001, 2)
+        assert peak < 4 * 2**20
+
+    @settings(max_examples=200)
+    @given(set_exprs, st.integers(1, 3), st.integers(0, 120))
+    def test_matches_dp(self, expr, h, n):
+        assert representation_count(expr, h, n) == dp_representation_count(expr, h, n)
 
     @settings(max_examples=20)
     @given(set_exprs, st.integers(1, 3), st.integers(0, 120))
