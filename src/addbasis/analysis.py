@@ -16,7 +16,7 @@ from itertools import islice
 from typing import Sequence
 
 from .bitset import PrefixBitset
-from .setexpr import SemanticError, SetExpr, U64_MAX, materialize, to_text
+from .setexpr import SemanticError, SetExpr, U64_MAX, materialize
 from .sumset import iterate_sumset, sumset_folds
 
 
@@ -116,8 +116,6 @@ class DensityRow:
 class DensityReport:
     """Counting-function samples of a t-fold sumset along a subsequence."""
 
-    set_text: str
-    fold: int
     rows: tuple[DensityRow, ...]
 
     def __post_init__(self):
@@ -150,7 +148,7 @@ def density_sequence(expr: SetExpr, t: int, subseq: SubseqSpec) -> DensityReport
         raise ValueError(f"fold count must be >= 0, got {t}")
     terms = subseq.indexed_terms()
     fold = iterate_sumset(expr, t, terms[-1][1]).bits
-    return DensityReport(to_text(expr), t, _density_rows(fold, terms))
+    return DensityReport(_density_rows(fold, terms))
 
 
 def window_extrema(rows: Sequence[DensityRow]) -> tuple[Fraction, Fraction]:

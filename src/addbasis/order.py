@@ -13,7 +13,7 @@ import random
 from dataclasses import dataclass
 
 from .analysis import SubseqSpec
-from .setexpr import Augment, SetExpr, contains, to_text
+from .setexpr import Augment, SetExpr, contains
 from .sumset import (  # noqa: F401  pair_sumset: bench/test_oracles.py traces it here
     iterate_sumset,
     pair_sumset,
@@ -44,7 +44,6 @@ class OrderReport:
     there is no witness.
     """
 
-    set_text: str
     bound: int
     h_max: int
     upper: int | None
@@ -85,7 +84,6 @@ def order_bounds(expr: SetExpr, bound: int, h_max: int) -> OrderReport:
                 f"gap witness {witness} has a {lower - 1}-fold representation"
             )
     return OrderReport(
-        set_text=to_text(expr),
         bound=bound,
         h_max=h_max,
         upper=upper,
@@ -113,7 +111,6 @@ class StabilityReport:
     h-1, for the tested terms; nothing is claimed about other finite F.
     """
 
-    set_text: str
     added: tuple[int, ...]
     h: int
     probe_fold: int
@@ -165,7 +162,6 @@ def stability_probe(
             f"order {h - 1} is not ruled out by this family up to {bound}"
         )
     return StabilityReport(
-        set_text=to_text(expr),
         added=extra,
         h=h,
         probe_fold=h - 1,
@@ -192,12 +188,7 @@ class SweepRun:
 
 @dataclass(frozen=True)
 class SweepReport:
-    set_text: str
-    h: int
-    family_text: str
     terms: tuple[int, ...]
-    bound: int
-    seed: int
     runs: tuple[SweepRun, ...]
     all_runs_survived: bool
 
@@ -226,12 +217,7 @@ def random_stability_sweep(
             SweepRun(i, added, probe.survivors, probe.survivors == terms)
         )
     return SweepReport(
-        set_text=to_text(expr),
-        h=h,
-        family_text=str(family),
         terms=terms,
-        bound=bound,
-        seed=seed,
         runs=tuple(runs),
         all_runs_survived=all(r.all_survived for r in runs),
     )

@@ -17,7 +17,7 @@ from math import comb, factorial
 from typing import Iterator
 
 from .bitset import PrefixBitset, full_mask, iter_bits, runs_mask
-from .setexpr import SetExpr, check_bound, expr_runs, materialize, merge_runs
+from .setexpr import SetExpr, check_bound, expr_runs, merge_runs
 
 @dataclass(frozen=True)
 class SumsetResult:
@@ -86,32 +86,29 @@ RUN_PAIR_WORDS = 800
 def sumset_folds(expr: SetExpr, bound: int) -> Iterator[PrefixBitset]:
     """``hA ∩ [0, bound]`` for ``h = 0, 1, 2, ...``, endlessly.
 
-    Fold h adds A to the (h-1)-fold sumset, starting from ``{0}``.  A fold
-    runs on interval runs while ``max(|R|, |A runs|)·|A runs|`` run pairs, at
-    ``RUN_PAIR_WORDS`` each, cost at most what shift-OR costs per fold,
-    ``|A|`` shifts x words.  Otherwise the prefix becomes a mask, and this
-    and every later fold run through ``pair_sumset``.  Leaving runs is final
-    and fold 1 is A itself on either kernel, so the max makes fold 1 count
-    as fold 2, the first that does work.  Both kernels are exact; the choice
-    changes only the cost.
+    Fold h adds A to the (h-1)-fold sumset, starting from ``{0}``, in two
+    phases over one walk of A's runs.  Folds run on interval runs while
+    ``max(|R|, |A runs|)·|A runs|`` run pairs, at ``RUN_PAIR_WORDS`` each,
+    cost at most what shift-OR costs per fold, ``|A|`` shifts x words.  Past
+    that, A's mask is built from the same runs, and this and every later fold
+    run through ``pair_sumset``.  Leaving runs is final and fold 1 is A itself
+    on either kernel, so the max makes fold 1 count as fold 2, the first that
+    does work.  Both kernels are exact; the choice changes only the cost.
     """
-    base = materialize(expr, bound)
+    check_bound(bound)
     base_runs = expr_runs(expr, bound)
-    shift_or_words = base.popcount() * (bound // 64 + 1)
-    runs: list[tuple[int, int]] | None = [(0, 0)]
+    shift_or_words = sum(hi - lo + 1 for lo, hi in base_runs) * (bound // 64 + 1)
+    runs = [(0, 0)]
     bits = PrefixBitset(bound, 1)
-    while True:
+    yield bits
+    while max(len(runs), len(base_runs)) * len(base_runs) * RUN_PAIR_WORDS <= shift_or_words:
+        runs = run_sumset(runs, base_runs, bound)
+        bits = PrefixBitset(bound, runs_mask(runs, bound))
         yield bits
-        if (
-            runs is not None
-            and max(len(runs), len(base_runs)) * len(base_runs) * RUN_PAIR_WORDS
-            <= shift_or_words
-        ):
-            runs = run_sumset(runs, base_runs, bound)
-            bits = PrefixBitset(bound, runs_mask(runs, bound))
-        else:
-            runs = None  # a mask's runs are not recovered
-            bits = pair_sumset(bits, base, bound)
+    base = PrefixBitset(bound, runs_mask(base_runs, bound))
+    while True:
+        bits = pair_sumset(bits, base, bound)
+        yield bits
 
 
 def iterate_sumset(expr: SetExpr, h: int, bound: int) -> SumsetResult:

@@ -49,8 +49,6 @@ class Claim:
 
 @dataclass(frozen=True)
 class VerifyOutcome:
-    bound: int
-    seed: int
     claims: tuple[Claim, ...]
     passed: bool
 
@@ -205,8 +203,6 @@ def verify_counterexample(bound: int, seed: int = 0) -> VerifyOutcome:
     )
 
     return VerifyOutcome(
-        bound=bound,
-        seed=seed,
         claims=tuple(claims),
         passed=all(c.passed for c in claims),
     )

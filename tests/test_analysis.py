@@ -252,7 +252,7 @@ def parse_expr(text):
 
 def test_density_report_rejects_empty():
     with pytest.raises(ValueError):
-        DensityReport("x", 1, ())
+        DensityReport(())
 
 
 def test_density_row_shape():

@@ -21,9 +21,10 @@ from addbasis import (
     representation_count,
     run_sumset,
 )
+from addbasis import setexpr as setexpr_module
 from addbasis import sumset as sumset_module
 from addbasis.order import order_bounds
-from addbasis.sumset import RUN_PAIR_WORDS
+from addbasis.sumset import RUN_PAIR_WORDS, sumset_folds
 from strategies import set_exprs
 
 
@@ -214,6 +215,47 @@ class TestKernelSelection:
         got = iterate_sumset(expr, 4, bound).bits
         assert kernel_calls == {"runs": 2, "shift-or": 2}
         assert got.to_list() == [0, 3, 6, 9, 12]
+
+
+@pytest.fixture
+def walks(monkeypatch):
+    """Counts walks of A's runs and masks built from runs, through both the
+    setexpr and the sumset bindings."""
+    calls = {"expr_runs": 0, "runs_mask": 0}
+    for name in calls:
+        fn = getattr(sumset_module, name)
+
+        def wrapper(*args, name=name, fn=fn):
+            calls[name] += 1
+            return fn(*args)
+
+        for module in (setexpr_module, sumset_module):
+            monkeypatch.setattr(module, name, wrapper)
+    return calls
+
+
+class TestFoldChain:
+    """One walk of A per chain; A's mask only once the chain leaves runs."""
+
+    def test_run_chain_walks_a_once(self, walks, kernel_calls):
+        folds = list(islice(sumset_folds(COUNTEREXAMPLE, 210_000), 4))
+        assert walks["expr_runs"] == 1
+        assert kernel_calls == {"runs": 3, "shift-or": 0}
+        assert tuple(folds[2].gaps()) == (21, 201, 2001, 20001, 200001)
+        assert folds[3].is_full()
+
+    def test_shift_or_chain_builds_a_mask_once(self, walks, kernel_calls):
+        points = (0, 1, 7, 30, 31, 90, 400, 401, 1000, 2500, 7000, 9999)
+        folds = list(islice(sumset_folds(Explicit(points), 20_000), 4))
+        assert walks == {"expr_runs": 1, "runs_mask": 1}
+        assert kernel_calls == {"runs": 0, "shift-or": 3}
+        assert folds[1].to_list() == list(points)
+
+    def test_run_chain_keeps_the_memory_guard(self, monkeypatch):
+        monkeypatch.setenv("ADDBASIS_MAX_BOUND", "1000")
+        assert iterate_sumset(COUNTEREXAMPLE, 2, 1000).bits.first_gap() == 21
+        with pytest.raises(BoundCeilingError):
+            iterate_sumset(COUNTEREXAMPLE, 2, 1001)
 
 
 def dp_representation_count(expr, h, n):
