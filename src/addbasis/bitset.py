@@ -2,8 +2,10 @@
 
 A :class:`PrefixBitset` pins down a set intersected with ``[0, N]`` exactly:
 bit ``i`` is set iff ``i`` belongs to the set, for every ``i <= N``.  The bit
-vector is a single Python integer, so shifts, ORs and popcounts run in C,
-which is what makes the shift-OR sumset kernel fast enough at desk scale.
+vector is a single Python integer, so shifts, ORs and popcounts run in C.
+Every Python-int shift or OR allocates a new integer the size of the mask,
+so the shift-OR sumset kernel ORs large masks in place in a numpy word array
+instead (``sumset.pair_sumset``).
 """
 
 from __future__ import annotations
@@ -129,10 +131,10 @@ class PrefixBitset:
 
     def first_gap(self) -> int | None:
         """Smallest non-member in ``[0, bound]``, or None if full."""
-        comp = self.complement_mask()
-        if comp == 0:
-            return None
-        return (comp & -comp).bit_length() - 1
+        # m ^ (m + 1) sets exactly the bits up to the lowest zero of m
+        m = self.mask
+        gap = (m ^ (m + 1)).bit_length() - 1
+        return gap if gap <= self.bound else None
 
     def __len__(self) -> int:
         return self.popcount()

@@ -28,12 +28,25 @@ class SumsetResult:
     bits: PrefixBitset
 
 
+# Mask size, in 64-bit words of [0, bound], from which pair_sumset ORs in
+# place into a numpy array instead of Python ints.  Speed-up of the numpy loop
+# over the Python-int loop per fold (A into 2A, best of 3-5, for squares,
+# cubes and sqrt(N) random points): 0.52-0.88x at 329 words (N = 2.1e4),
+# 0.63-1.11x at 512, 0.80-1.59x at 1024, 1.02-2.49x at 2048, 2.6-9.8x at
+# 15,626 (N = 1e6) and 3.4-14.5x at 156,251 (N = 1e7).  Below the floor
+# numpy is never imported, so small commands pay neither its import (about
+# 150 ms) nor its memory (about 12 MB).
+SHIFT_OR_NUMPY_WORDS = 1024
+
+
 def pair_sumset(p: PrefixBitset, q: PrefixBitset, bound: int) -> PrefixBitset:
     """Exact ``(P + Q) ∩ [0, bound]``.
 
     ORs one operand's bit vector shifted by each member of the other; the
     kernel iterates over the sparser side since cost is popcount x words
     (tie broken toward the left operand; the result is identical either way).
+    Masks of ``SHIFT_OR_NUMPY_WORDS`` words or more are ORed in place into a
+    numpy array, smaller ones as Python ints.
     """
     if bound < 0:
         raise ValueError(f"bound must be >= 0, got {bound}")
@@ -41,17 +54,50 @@ def pair_sumset(p: PrefixBitset, q: PrefixBitset, bound: int) -> PrefixBitset:
         raise ValueError(
             f"bound mismatch: operands bounded at {p.bound} and {q.bound}, need {bound}"
         )
-    window = full_mask(bound)
-    pm = p.mask & window
-    qm = q.mask & window
+    pm = p.mask if p.bound == bound else p.mask & full_mask(bound)
+    qm = q.mask if q.bound == bound else q.mask & full_mask(bound)
     if pm.bit_count() <= qm.bit_count():
         outer, inner = pm, qm
     else:
         outer, inner = qm, pm
-    acc = 0
+    if bound // 64 + 1 < SHIFT_OR_NUMPY_WORDS:
+        acc = 0
+        for a in iter_bits(outer):
+            acc |= inner << a
+        return PrefixBitset(bound, acc & full_mask(bound))
+    return PrefixBitset(bound, _shift_or_words(outer, inner, bound))
+
+
+def _shift_or_words(outer: int, inner: int, bound: int) -> int:
+    """The OR of ``inner << a`` over the members ``a`` of ``outer``, windowed
+    to ``[0, bound]``, by in-place ORs of word slices into one numpy array.
+
+    A shift by ``a`` is a bit shift by ``a % 64`` and a word offset of
+    ``a // 64``, so the members are grouped by residue: each residue makes one
+    bit-shifted copy of ``inner`` (carrying in the previous word's high bits),
+    and each member then ORs that copy into the accumulator at its offset.
+    Bits shifted past the last word fall off the slice.
+    """
+    import numpy as np
+
+    words = bound // 64 + 1
+    offsets: list[list[int]] = [[] for _ in range(64)]
     for a in iter_bits(outer):
-        acc |= inner << a
-    return PrefixBitset(bound, acc & window)
+        offsets[a & 63].append(a >> 6)
+    src = np.frombuffer(inner.to_bytes(words * 8, "little"), dtype="<u8")
+    acc = np.zeros(words, dtype="<u8")
+    shifted = np.empty(words, dtype="<u8")
+    for r, starts in enumerate(offsets):
+        if not starts:
+            continue
+        np.left_shift(src, r, out=shifted)
+        if r:
+            shifted[1:] |= src[:-1] >> (64 - r)
+        for w in starts:
+            acc[w:] |= shifted[: words - w]
+    del src, shifted, offsets
+    acc[-1] &= np.uint64((1 << (bound % 64 + 1)) - 1)
+    return int.from_bytes(acc, "little")
 
 
 def _shifted_runs(

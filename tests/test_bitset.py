@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -83,6 +85,18 @@ def test_restrict_first_gap_complement():
     assert PrefixBitset(2, 0b111).is_full()
     comp = bits.complement_mask()
     assert set(iter_bits(comp)) == {3, 5, 6}
+
+
+def test_first_gap_matches_complement():
+    rng = random.Random(5)
+    for bound in range(301):
+        full = full_mask(bound)
+        masks = [full, 0, rng.getrandbits(bound + 1)]
+        masks += [full ^ (1 << g) for g in {0, bound // 2, bound}]
+        for mask in masks:
+            comp = full & ~mask
+            want = (comp & -comp).bit_length() - 1 if comp else None
+            assert PrefixBitset(bound, mask).first_gap() == want, (bound, mask)
 
 
 def test_gaps():

@@ -1,4 +1,8 @@
 import math
+import os
+import random
+import subprocess
+import sys
 import tracemalloc
 from itertools import islice
 
@@ -24,7 +28,7 @@ from addbasis import (
 from addbasis import setexpr as setexpr_module
 from addbasis import sumset as sumset_module
 from addbasis.order import order_bounds
-from addbasis.sumset import RUN_PAIR_WORDS, sumset_folds
+from addbasis.sumset import RUN_PAIR_WORDS, SHIFT_OR_NUMPY_WORDS, sumset_folds
 from strategies import set_exprs
 
 
@@ -70,6 +74,69 @@ class TestPairSumset:
         p = materialize(a, bound)
         q = materialize(b, bound)
         assert pair_sumset(p, q, bound) == pair_sumset(q, p, bound)
+
+
+def random_mask(rng, bound, k):
+    """A mask of ``k`` distinct random members of ``[0, bound]``."""
+    return sum(1 << x for x in rng.sample(range(bound + 1), min(k, bound + 1)))
+
+
+class TestShiftOrLoops:
+    """The numpy word loop against the Python-int loop, forced by moving
+    SHIFT_OR_NUMPY_WORDS, on seeded random operands around the floor."""
+
+    FLOOR = SHIFT_OR_NUMPY_WORDS
+    # words = bound // 64 + 1, so these two bounds straddle the floor with
+    # bound % 64 equal to 63 and to 0
+    BOUNDS = (0, 63, 64, 127, 200, 64 * FLOOR - 65, 64 * FLOOR - 64)
+
+    @staticmethod
+    def operand_pairs(rng, bound):
+        yield random_mask(rng, bound, 40), random_mask(rng, bound, bound // 3 + 1)
+        yield random_mask(rng, bound, bound // 50 + 1), random_mask(rng, bound, bound // 50 + 1)
+        yield random_mask(rng, bound, 25), random_mask(rng, bound, (bound + 1) * 9 // 10)
+        yield 0, random_mask(rng, bound, 100)
+        yield 1 << rng.randint(0, bound), random_mask(rng, bound, 100)
+        yield 1 << bound, full_mask(bound)
+
+    def test_loops_agree(self, monkeypatch):
+        rng = random.Random(11)
+        for bound in self.BOUNDS:
+            for pm, qm in self.operand_pairs(rng, bound):
+                # p carries members above the bound, which both loops drop
+                p = PrefixBitset(bound + 100, pm | random_mask(rng, bound + 100, 50))
+                q = PrefixBitset(bound, qm)
+                default = pair_sumset(p, q, bound)
+                monkeypatch.setattr(sumset_module, "SHIFT_OR_NUMPY_WORDS", 0)
+                words = pair_sumset(p, q, bound)
+                monkeypatch.setattr(sumset_module, "SHIFT_OR_NUMPY_WORDS", 2**63)
+                ints = pair_sumset(p, q, bound)
+                monkeypatch.setattr(sumset_module, "SHIFT_OR_NUMPY_WORDS", self.FLOOR)
+                assert words == ints == default, bound
+
+    def test_small_folds_never_import_numpy(self):
+        # squares at 2.1e4 fold on shift-OR with 329-word masks, below the floor
+        script = (
+            "import sys\n"
+            "from addbasis import sumset\n"
+            "from addbasis.cli import main\n"
+            "calls = []\n"
+            "kernel = sumset.pair_sumset\n"
+            "sumset.pair_sumset = lambda *a: calls.append(1) or kernel(*a)\n"
+            "code = main(['sumset', '--set', 'squares', '--h', '3', '--bound', '21000'])\n"
+            "assert code == 0 and len(calls) == 3, (code, calls)\n"
+            "assert 'numpy' not in sys.modules\n"
+        )
+        src = os.path.dirname(os.path.dirname(sumset_module.__file__))
+        path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+        done = subprocess.run(
+            [sys.executable, "-c", script],
+            env={**os.environ, "PYTHONPATH": path},
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
 
 
 class TestIterateSumset:
