@@ -1,5 +1,9 @@
 """The ``addbasis`` command line: machine-readable reports over the library.
 
+A result echoes its inputs and adds the library report's fields through
+``report.jsonable``, which decides which ratios get a decimal; ``sumset`` and
+``verify-counterexample`` build theirs from listings and PASS/FAIL verdicts.
+
 Exit codes: 0 success, 2 precondition or usage violation, 3 internal
 verification failure (a mathematical claim or certificate did not hold).
 """
@@ -10,28 +14,13 @@ import argparse
 import decimal
 import sys
 import time
-from dataclasses import asdict
 
 import jsonschema
 
 from .analysis import SubseqSpec, density_sequence, hypothesis_probe, parse_subseq, window_extrema
 from .order import VerificationError, order_bounds, stability_probe
-from .report import (
-    SCHEMA_VERSION,
-    canonical_json,
-    density_rows_payload,
-    frac_decimal,
-    plot_data_lines,
-    rows_csv,
-    validate_report,
-)
-from .setexpr import (
-    U64_MAX,
-    BoundCeilingError,
-    ParseError,
-    SemanticError,
-    parse_set_expr,
-)
+from .report import SCHEMA_VERSION, canonical_json, jsonable, plot_data_lines, rows_csv, validate_report
+from .setexpr import U64_MAX, parse_set_expr
 from .sumset import iterate_sumset
 from .verify import verify_counterexample
 
@@ -121,22 +110,11 @@ def _cmd_order(args) -> tuple[dict, int]:
     rep = order_bounds(expr, args.bound, args.hmax)
     payload = {
         "set": args.set,
-        "bound": args.bound,
-        "h_max": rep.h_max,
-        "upper": rep.upper,
-        "lower": rep.lower,
-        "witness": rep.witness,
-        "witness_fold": rep.witness_fold,
-        "certified_lower": rep.certified_lower,
-        "zero_in_set": rep.zero_in_set,
+        **jsonable(rep),
         "coverage_label": (
             f"upper bound prefix-verified up to N={rep.bound}; "
             "gap certificates are exact for the infinite set"
         ),
-        "scan": [
-            {"h": row.h, "covered": row.covered, "first_gap": row.first_gap}
-            for row in rep.scan
-        ],
     }
     return payload, 0
 
@@ -153,7 +131,7 @@ def _cmd_density(args) -> tuple[dict, int]:
         "subseq": str(subseq),
         "start": args.start,
         "terms": args.terms,
-        "rows": density_rows_payload(rep.rows),
+        **jsonable(rep),
         "min_ratio": str(min_ratio),
         "max_ratio": str(max_ratio),
     }
@@ -165,19 +143,7 @@ def _cmd_stability(args) -> tuple[dict, int]:
     family = _subseq(args)
     _check_folds("--h", args.h, args.h - 1, args.bound)
     rep = stability_probe(expr, args.add, args.h, family, args.bound)
-    payload = {
-        "set": args.set,
-        "added": list(rep.added),
-        "h": rep.h,
-        "probe_fold": rep.probe_fold,
-        "family": rep.family_text,
-        "start": args.start,
-        "terms": args.terms,
-        "bound": rep.bound,
-        "verdicts": [asdict(v) for v in rep.verdicts],
-        "survivors": list(rep.survivors),
-        "conclusion": rep.conclusion,
-    }
+    payload = {"set": args.set, "start": args.start, "terms": args.terms, **jsonable(rep)}
     return payload, 0
 
 
@@ -188,20 +154,12 @@ def _cmd_probe(args) -> tuple[dict, int]:
     rep = hypothesis_probe(expr, args.h, subseq)
     payload = {
         "set": args.set,
-        "h": rep.h,
         "subseq": str(subseq),
         "start": args.start,
         "terms": args.terms,
+        **jsonable(rep),
         "h2_fold": rep.h - 2,
         "h1_fold": rep.h - 1,
-        "h2_rows": density_rows_payload(rep.h2_rows),
-        "h1_rows": density_rows_payload(rep.h1_rows),
-        "h2_ratio_trending_to_zero": rep.h2_ratio_trending_to_zero,
-        "h2_tail_max": str(rep.h2_tail_max),
-        "h2_tail_max_decimal": frac_decimal(rep.h2_tail_max),
-        "h1_ratio_max": str(rep.h1_ratio_max),
-        "h1_ratio_max_decimal": frac_decimal(rep.h1_ratio_max),
-        "h1_strictly_below_one": rep.h1_strictly_below_one,
         "note": "verdicts are empirical window estimates, not limits",
     }
     return payload, 0
@@ -312,7 +270,8 @@ def main(argv: list[str] | None = None) -> int:
     except VerificationError as exc:
         print(f"error: internal verification failure: {exc}", file=sys.stderr)
         return 3
-    except (ParseError, SemanticError, BoundCeilingError, OverflowError, ValueError) as exc:
+    # ParseError, SemanticError and BoundCeilingError are ValueErrors
+    except (OverflowError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     timing_ms = round((time.perf_counter() - started) * 1000, 3)

@@ -13,7 +13,7 @@ import random
 from dataclasses import dataclass
 
 from .analysis import SubseqSpec
-from .setexpr import Augment, SetExpr, contains
+from .setexpr import Augment, SetExpr
 from .sumset import (  # noqa: F401  pair_sumset: bench/test_oracles.py traces it here
     iterate_sumset,
     pair_sumset,
@@ -91,7 +91,7 @@ def order_bounds(expr: SetExpr, bound: int, h_max: int) -> OrderReport:
         witness=witness,
         witness_fold=lower - 1 if witness is not None else None,
         certified_lower=witness is not None,
-        zero_in_set=contains(expr, 0),
+        zero_in_set=scan[0].first_gap != 0,  # fold 1 is A ∩ [0, bound]
         scan=tuple(scan),
     )
 
@@ -114,7 +114,7 @@ class StabilityReport:
     added: tuple[int, ...]
     h: int
     probe_fold: int
-    family_text: str
+    family: str
     bound: int
     verdicts: tuple[TermVerdict, ...]
     survivors: tuple[int, ...]
@@ -165,7 +165,7 @@ def stability_probe(
         added=extra,
         h=h,
         probe_fold=h - 1,
-        family_text=str(family),
+        family=str(family),
         bound=bound,
         verdicts=verdicts,
         survivors=survivors,

@@ -1,13 +1,16 @@
 """Machine-readable reports: canonical JSON, schema validation, CSV rows.
 
-Serialization is canonical: keys sorted, ratios as reduced ``p/q`` strings,
-decimals rendered only for display.  Two runs with identical inputs emit
-byte-identical reports except for ``timing_ms``.
+Result fields come from the report dataclasses through ``jsonable``, the one
+place that writes a ratio field as ``p/q`` plus a ``<field>_decimal``
+sibling.  The schemas list every key a result may carry, so a new report
+field fails self-validation until its schema names it.  Keys are sorted, so
+identical inputs give byte-identical reports except for ``timing_ms``.
 """
 
 from __future__ import annotations
 
 import csv
+import dataclasses
 import functools
 import io
 import json
@@ -17,8 +20,6 @@ from typing import Any, Iterable
 
 import jsonschema
 
-from .analysis import DensityRow
-
 SCHEMA_VERSION = "1"
 
 
@@ -26,17 +27,22 @@ def frac_decimal(value: Fraction) -> str:
     return format(float(value), ".10g")
 
 
-def density_rows_payload(rows: Iterable[DensityRow]) -> list[dict[str, Any]]:
-    return [
-        {
-            "k": r.k,
-            "n": r.n,
-            "count": r.count,
-            "ratio": str(r.ratio),
-            "ratio_decimal": frac_decimal(r.ratio),
-        }
-        for r in rows
-    ]
+def jsonable(value: Any) -> Any:
+    """A dataclass as a dict of its fields in order, each ``Fraction`` field as
+    ``p/q`` plus a ``<field>_decimal`` sibling; a tuple or list as a list;
+    anything else unchanged."""
+    if isinstance(value, (tuple, list)):
+        return [jsonable(item) for item in value]
+    if not dataclasses.is_dataclass(value):
+        return value
+    out: dict[str, Any] = {}
+    for field in dataclasses.fields(value):
+        item = getattr(value, field.name)
+        if type(item) is Fraction:
+            out[field.name], out[f"{field.name}_decimal"] = str(item), frac_decimal(item)
+        else:
+            out[field.name] = jsonable(item)
+    return out
 
 
 def canonical_json(report: dict[str, Any]) -> str:

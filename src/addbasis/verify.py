@@ -26,7 +26,7 @@ from .order import (
     order_bounds,
     random_stability_sweep,
 )
-from .report import density_rows_payload, frac_decimal
+from .report import frac_decimal, jsonable
 from .setexpr import COUNTEREXAMPLE, BlockFamily
 from .sumset import iterate_sumset, representation_count
 
@@ -107,8 +107,8 @@ def _density_claim(expr, bound: int) -> tuple[Claim, DensityReport, DensityRepor
     detail = {
         "low_subseq": "2*10^k+1",
         "high_subseq": "10^k",
-        "low_rows": density_rows_payload(low.rows),
-        "high_rows": density_rows_payload(high.rows),
+        "low_rows": jsonable(low.rows),
+        "high_rows": jsonable(high.rows),
         "low_anchor": str(LOW_ANCHOR),
         "high_anchor": str(HIGH_ANCHOR),
         "low_final_distance": frac_decimal(low_final),

@@ -2,13 +2,14 @@ import copy
 import csv
 import io
 import json
+from dataclasses import dataclass
 from fractions import Fraction
 
 import jsonschema
 import pytest
 
 from addbasis.cli import MAX_TERMS, main, nat_arg
-from addbasis.report import RESULT_SCHEMAS, validate_report
+from addbasis.report import RESULT_SCHEMAS, jsonable, validate_report
 
 
 def run_cli(capsys, *argv):
@@ -318,6 +319,53 @@ class TestReportSchema:
             report["result"]["rows"][0]["ratio"] = bad
             with pytest.raises(jsonschema.ValidationError):
                 validate_report(report)
+
+
+@dataclass(frozen=True)
+class _Row:
+    k: int
+    ratio: Fraction
+
+
+@dataclass(frozen=True)
+class _Report:
+    label: str
+    witness: int | None
+    covered: bool
+    peak: Fraction
+    rows: tuple[_Row, ...]
+    added: tuple[int, ...]
+
+
+class TestJsonable:
+    def test_fields_in_order_with_decimals(self):
+        rep = _Report("x", None, True, Fraction(8, 9), (_Row(1, Fraction(1, 2)),), (3, 1))
+        out = jsonable(rep)
+        assert list(out) == [
+            "label", "witness", "covered", "peak", "peak_decimal", "rows", "added",
+        ]
+        assert out == {
+            "label": "x",
+            "witness": None,
+            "covered": True,
+            "peak": "8/9",
+            "peak_decimal": "0.8888888889",
+            "rows": [{"k": 1, "ratio": "1/2", "ratio_decimal": "0.5"}],
+            "added": [3, 1],
+        }
+        # == alone would let True pass as 1
+        assert out["covered"] is True
+
+    def test_integral_fraction_field(self):
+        assert jsonable(_Row(2, Fraction(4, 2))) == {"k": 2, "ratio": "2", "ratio_decimal": "2"}
+
+    def test_other_values_pass_through(self):
+        assert jsonable(None) is None
+        assert jsonable(True) is True
+        assert jsonable(False) is False
+        assert jsonable(7) == 7 and type(jsonable(7)) is int
+        assert jsonable("1/2") == "1/2"
+        assert jsonable((1, (2, None))) == [1, [2, None]]
 
 
 class TestOutputs:

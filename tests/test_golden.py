@@ -4,9 +4,11 @@ Each case runs ``addbasis.cli.main`` in-process with the README's arguments
 and compares the exit code and stdout against ``tests/golden/<name>``, with
 the ``timing_ms`` value masked on both sides.  The test never writes a golden
 file; regenerate one by hand as the README's "Install and test" section
-shows, and review the diff before committing it.
+shows, and review the diff before committing it.  The README's ``python``
+blocks run here too, checked against what their comments state.
 """
 
+import ast
 import re
 import shlex
 from pathlib import Path
@@ -72,3 +74,35 @@ def test_golden(name, capsys):
     out = capsys.readouterr().out
     assert code == want_code
     assert TIMING.sub(MASK, out) == TIMING.sub(MASK, (GOLDEN / name).read_text())
+
+
+def readme_python_values() -> tuple[dict, list]:
+    """Run the README's ``python`` blocks in order in one namespace.
+
+    Returns the namespace and the value of each top-level expression
+    statement, in order: the README shows those values only in comments.
+    """
+    namespace: dict = {}
+    values = []
+    for block in re.findall(r"```python\n(.*?)```", README.read_text(), re.S):
+        for node in ast.parse(block).body:
+            if isinstance(node, ast.Expr):
+                code = compile(ast.Expression(node.value), "README.md", "eval")
+                values.append(eval(code, namespace))
+            else:
+                exec(compile(ast.Module([node], []), "README.md", "exec"), namespace)
+    return namespace, values
+
+
+def test_readme_python_blocks():
+    namespace, (order, two_fold, density, runs_2a) = readme_python_values()
+    # upper 3 / lower 3, witness 21
+    assert (order.upper, order.lower, order.witness) == (3, 3, 21)
+    # .bits is the exact 2A prefix: its gaps are the 2*10^k + 1 up to 21,000
+    assert tuple(two_fold.bits.gaps()) == (21, 201, 2001, 20001)
+    assert [row.n for row in density.rows] == [21, 201, 2001, 20001, 200001]
+    # 6 runs; 2A: 6 runs, gaps 21, 201, ...
+    assert len(namespace["runs"]) == 6
+    assert len(runs_2a) == 6
+    gaps = [n for (_, hi), (lo, _) in zip(runs_2a, runs_2a[1:]) for n in range(hi + 1, lo)]
+    assert gaps == [21, 201, 2001, 20001, 200001]
