@@ -136,18 +136,12 @@ class PrefixBitset:
         gap = (m ^ (m + 1)).bit_length() - 1
         return gap if gap <= self.bound else None
 
-    def __len__(self) -> int:
-        return self.popcount()
-
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, PrefixBitset)
             and self.bound == other.bound
             and self.mask == other.mask
         )
-
-    def __hash__(self) -> int:
-        return hash((self.bound, self.mask))
 
     def __repr__(self) -> str:
         n = self.popcount()

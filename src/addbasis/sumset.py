@@ -40,7 +40,7 @@ SHIFT_OR_NUMPY_WORDS = 1024
 
 
 def pair_sumset(p: PrefixBitset, q: PrefixBitset, bound: int) -> PrefixBitset:
-    """Exact ``(P + Q) ∩ [0, bound]``.
+    """Exact ``(P + Q) ∩ [0, bound]``; both operands must be bounded at ``bound``.
 
     ORs one operand's bit vector shifted by each member of the other; the
     kernel iterates over the sparser side since cost is popcount x words
@@ -48,18 +48,14 @@ def pair_sumset(p: PrefixBitset, q: PrefixBitset, bound: int) -> PrefixBitset:
     Masks of ``SHIFT_OR_NUMPY_WORDS`` words or more are ORed in place into a
     numpy array, smaller ones as Python ints.
     """
-    if bound < 0:
-        raise ValueError(f"bound must be >= 0, got {bound}")
-    if p.bound < bound or q.bound < bound:
+    if p.bound != bound or q.bound != bound:
         raise ValueError(
             f"bound mismatch: operands bounded at {p.bound} and {q.bound}, need {bound}"
         )
-    pm = p.mask if p.bound == bound else p.mask & full_mask(bound)
-    qm = q.mask if q.bound == bound else q.mask & full_mask(bound)
-    if pm.bit_count() <= qm.bit_count():
-        outer, inner = pm, qm
+    if p.popcount() <= q.popcount():
+        outer, inner = p.mask, q.mask
     else:
-        outer, inner = qm, pm
+        outer, inner = q.mask, p.mask
     if bound // 64 + 1 < SHIFT_OR_NUMPY_WORDS:
         acc = 0
         for a in iter_bits(outer):

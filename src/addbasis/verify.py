@@ -197,7 +197,7 @@ def verify_counterexample(bound: int, seed: int = 0) -> VerifyOutcome:
                 "element_ceiling": SWEEP_ELEMENT_CEILING,
                 "max_size": SWEEP_MAX_SIZE,
                 "all_runs_survived": sweep.all_runs_survived,
-                "failing_runs": [r.run for r in sweep.runs if not r.all_survived],
+                "failing_runs": list(sweep.failing_runs),
             },
         )
     )

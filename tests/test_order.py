@@ -1,3 +1,6 @@
+import random
+from itertools import islice
+
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -7,6 +10,7 @@ from addbasis import (
     CUBES,
     SQUARES,
     Explicit,
+    Powers,
     PrefixBitset,
     SubseqSpec,
     materialize,
@@ -15,6 +19,8 @@ from addbasis import (
     random_stability_sweep,
     stability_probe,
 )
+from addbasis import order as order_module
+from addbasis.order import SWEEP_ELEMENT_CEILING, SWEEP_MAX_SIZE, SWEEP_RUNS
 from strategies import set_exprs
 from test_sumset import brute_fold
 
@@ -173,18 +179,75 @@ class TestStabilityProbe:
         assert set(large.survivors) <= set(small.survivors)
 
 
+def drawn_sets(seed):
+    """The F of each sweep run for ``seed``: ``randint``, then ``sample``."""
+    rng = random.Random(seed)
+    for _ in range(SWEEP_RUNS):
+        size = rng.randint(0, SWEEP_MAX_SIZE)
+        yield rng.sample(range(SWEEP_ELEMENT_CEILING + 1), size)
+
+
 class TestSweep:
+    UNIVERSAL = tuple(range(SWEEP_ELEMENT_CEILING + 1))
+    # 201 = 200 + 1 lies in 2(A ∪ [0, 1000]), so the universal probe loses it
+    # and the sweep probes every drawn F
+    FALLBACK = SubseqSpec(2, 10, 1, start=2, count=2)
+
     def test_short_sweep_survives(self):
         family = SubseqSpec(2, 10, 1, start=3, count=2)
         rep = random_stability_sweep(COUNTEREXAMPLE, 3, family, 21000, seed=7)
         assert rep.all_runs_survived
         assert rep.terms == (2001, 20001)
-        assert len(rep.runs) == 100
+        assert rep.failing_runs == ()
+
+    @pytest.mark.parametrize(
+        "expr, family, bound",
+        [
+            (COUNTEREXAMPLE, FALLBACK, 21000),
+            (COUNTEREXAMPLE, SubseqSpec(2, 10, 1, start=3, count=2), 21000),
+            (CUBES, SubseqSpec(1000, None, 0, start=15, count=6), 21000),
+            (Powers(4), SubseqSpec(1000, None, 0, start=15, count=6), 21000),
+        ],
+    )
+    def test_runs_keep_universal_survivors(self, expr, family, bound):
+        universal = stability_probe(expr, self.UNIVERSAL, 3, family, bound).survivors
+        assert universal  # else the containment below is vacuous
+        for seed in (0, 1, 2):
+            for added in islice(drawn_sets(seed), 15):
+                run = stability_probe(expr, added, 3, family, bound)
+                assert set(universal) <= set(run.survivors), (seed, added)
+
+    def test_fallback_matches_per_run_probes(self):
+        universal = stability_probe(COUNTEREXAMPLE, self.UNIVERSAL, 3, self.FALLBACK, 21000)
+        assert universal.survivors == (2001,)
+        for seed in (0, 7):
+            expected = tuple(
+                i
+                for i, added in enumerate(drawn_sets(seed))
+                if stability_probe(COUNTEREXAMPLE, added, 3, self.FALLBACK, 21000).survivors
+                != (201, 2001)
+            )
+            rep = random_stability_sweep(COUNTEREXAMPLE, 3, self.FALLBACK, 21000, seed=seed)
+            assert rep.terms == (201, 2001)
+            assert rep.failing_runs == expected
+            assert expected and not rep.all_runs_survived
+
+    def test_universal_probe_decides_alone(self, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return stability_probe(*args)
+
+        monkeypatch.setattr(order_module, "stability_probe", counted)
+        family = SubseqSpec(2, 10, 1, start=3, count=2)
+        rep = random_stability_sweep(COUNTEREXAMPLE, 3, family, 21000, seed=0)
+        assert rep.terms == (2001, 20001) and rep.all_runs_survived
+        assert len(calls) == 1
 
     def test_deterministic_under_seed(self):
-        family = SubseqSpec(2, 10, 1, start=3, count=2)
-        a = random_stability_sweep(COUNTEREXAMPLE, 3, family, 21000, seed=123)
-        b = random_stability_sweep(COUNTEREXAMPLE, 3, family, 21000, seed=123)
-        c = random_stability_sweep(COUNTEREXAMPLE, 3, family, 21000, seed=124)
+        a = random_stability_sweep(COUNTEREXAMPLE, 3, self.FALLBACK, 21000, seed=123)
+        b = random_stability_sweep(COUNTEREXAMPLE, 3, self.FALLBACK, 21000, seed=123)
+        c = random_stability_sweep(COUNTEREXAMPLE, 3, self.FALLBACK, 21000, seed=124)
         assert a == b
-        assert [r.added for r in a.runs] != [r.added for r in c.runs]
+        assert a.failing_runs != c.failing_runs

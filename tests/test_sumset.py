@@ -68,6 +68,9 @@ class TestPairSumset:
         q = materialize(Explicit((0, 1)), 9)
         with pytest.raises(ValueError):
             pair_sumset(p, q, 9)
+        # a larger operand is refused too, not windowed
+        with pytest.raises(ValueError, match="bound mismatch"):
+            pair_sumset(q, p, 5)
 
     @given(set_exprs, set_exprs, st.integers(0, 300))
     def test_commutes(self, a, b, bound):
@@ -103,8 +106,7 @@ class TestShiftOrLoops:
         rng = random.Random(11)
         for bound in self.BOUNDS:
             for pm, qm in self.operand_pairs(rng, bound):
-                # p carries members above the bound, which both loops drop
-                p = PrefixBitset(bound + 100, pm | random_mask(rng, bound + 100, 50))
+                p = PrefixBitset(bound, pm)
                 q = PrefixBitset(bound, qm)
                 default = pair_sumset(p, q, bound)
                 monkeypatch.setattr(sumset_module, "SHIFT_OR_NUMPY_WORDS", 0)
