@@ -10,6 +10,8 @@ bound are valid unconditionally.
 from __future__ import annotations
 
 import heapq
+import os
+import threading
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import groupby, islice
@@ -30,13 +32,23 @@ class SumsetResult:
 
 # Mask size, in 64-bit words of [0, bound], from which pair_sumset ORs in
 # place into a numpy array instead of Python ints.  Speed-up of the numpy loop
-# over the Python-int loop per fold (A into 2A, best of 3-5, for squares,
-# cubes and sqrt(N) random points): 0.52-0.88x at 329 words (N = 2.1e4),
-# 0.63-1.11x at 512, 0.80-1.59x at 1024, 1.02-2.49x at 2048, 2.6-9.8x at
-# 15,626 (N = 1e6) and 3.4-14.5x at 156,251 (N = 1e7).  Below the floor
-# numpy is never imported, so small commands pay neither its import (about
-# 150 ms) nor its memory (about 12 MB).
+# over the Python-int loop per fold (A into 2A, best of 15, for squares,
+# cubes and sqrt(N) random points, on 2 vCPUs): 0.63-1.14x at 329 words
+# (N = 2.1e4), 0.71-1.28x at 512, 1.12-2.19x at 1024, 1.85-3.55x at 2048,
+# 4.5-14.3x at 15,626 (N = 1e6) and, best of 3 on two accumulator ranges,
+# 10.3-28.5x at 156,251 (N = 1e7).  Below the floor numpy is never imported,
+# so small commands pay neither its import (about 150 ms) nor its memory
+# (about 12 MB).
 SHIFT_OR_NUMPY_WORDS = 1024
+
+# Least span, in words, of each accumulator range that pair_sumset's numpy
+# loop gives its own thread.  Two threads contend for the interpreter lock at
+# every slice OR, so they pay only on slices long enough to outlast that.
+# Speed-up of two ranges over one per fold (2A + A, best of 7, for squares,
+# cubes and sqrt(N) random points, on 2 vCPUs, two runs): 0.31-0.56x at 2,048
+# and 8,192 words, 0.52-1.03x at 32,768, 0.73-1.07x at 65,536, 1.00-1.26x
+# at 98,304, 1.03-1.69x at 131,072 and 1.23-2.13x at 156,251 (N = 1e7).
+SHIFT_OR_RANGE_WORDS = 65536
 
 
 def pair_sumset(p: PrefixBitset, q: PrefixBitset, bound: int) -> PrefixBitset:
@@ -46,7 +58,9 @@ def pair_sumset(p: PrefixBitset, q: PrefixBitset, bound: int) -> PrefixBitset:
     kernel iterates over the sparser side since cost is popcount x words
     (tie broken toward the left operand; the result is identical either way).
     Masks of ``SHIFT_OR_NUMPY_WORDS`` words or more are ORed in place into a
-    numpy array, smaller ones as Python ints.
+    numpy array, one byte slice per member, split by accumulator region over
+    the CPUs this process may use (``_shift_or_words``); smaller ones are ORed
+    as Python ints.
     """
     if p.bound != bound or q.bound != bound:
         raise ValueError(
@@ -66,34 +80,113 @@ def pair_sumset(p: PrefixBitset, q: PrefixBitset, bound: int) -> PrefixBitset:
 
 def _shift_or_words(outer: int, inner: int, bound: int) -> int:
     """The OR of ``inner << a`` over the members ``a`` of ``outer``, windowed
-    to ``[0, bound]``, by in-place ORs of word slices into one numpy array.
+    to ``[0, bound]``, by in-place ORs of byte slices into one numpy array.
 
-    A shift by ``a`` is a bit shift by ``a % 64`` and a word offset of
-    ``a // 64``, so the members are grouped by residue: each residue makes one
-    bit-shifted copy of ``inner`` (carrying in the previous word's high bits),
-    and each member then ORs that copy into the accumulator at its offset.
-    Bits shifted past the last word fall off the slice.
+    A shift by ``a`` is a bit shift by ``a % 8`` and a byte offset of
+    ``a // 8``, so the members, read from ``outer``'s nonzero bytes, are
+    grouped by residue: each residue makes one bit-shifted copy of ``inner``
+    (carrying in the previous word's high bits), at most 8 per call, and each
+    member then ORs that copy into the accumulator at its byte offset.  Bytes
+    shifted past the last word fall off the slice.  The accumulator is split
+    into the word ranges of ``_split_words``, one per thread, the calling
+    thread included: for each residue every thread shifts its range of the
+    copy, and once all have, ORs every member into its range of the
+    accumulator.  The threads allocate nothing and are joined before return.
     """
     import numpy as np
 
     words = bound // 64 + 1
-    offsets: list[list[int]] = [[] for _ in range(64)]
-    for a in iter_bits(outer):
-        offsets[a & 63].append(a >> 6)
+    packed = np.frombuffer(outer.to_bytes(words * 8, "little"), dtype=np.uint8)
+    at = np.flatnonzero(packed)
+    bits = np.unpackbits(packed[at], bitorder="little").reshape(-1, 8).view(bool)
+    del packed
+    residues = [at[bits[:, r]] for r in range(8)]
+    del at, bits
+    spans = _split_words(np.concatenate(residues), words, _usable_cpus())
+    residues = [starts.tolist() for starts in residues]
     src = np.frombuffer(inner.to_bytes(words * 8, "little"), dtype="<u8")
     acc = np.zeros(words, dtype="<u8")
     shifted = np.empty(words, dtype="<u8")
-    for r, starts in enumerate(offsets):
-        if not starts:
-            continue
-        np.left_shift(src, r, out=shifted)
-        if r:
-            shifted[1:] |= src[:-1] >> (64 - r)
-        for w in starts:
-            acc[w:] |= shifted[: words - w]
-    del src, shifted, offsets
+    carry = np.empty(words, dtype="<u8")
+    acc8 = acc.view(np.uint8)
+
+    barrier = threading.Barrier(len(spans))
+    errors: list[BaseException] = []
+
+    def work(lo: int, hi: int) -> None:
+        # words [lo, hi): this worker's part of each shifted copy, then of
+        # every member's OR; the first wait lets members read the copy below
+        # lo, the second keeps the next shift from overwriting it
+        try:
+            for r, starts in enumerate(residues):
+                if not starts:
+                    continue
+                if r:
+                    np.left_shift(src[lo:hi], r, out=shifted[lo:hi])
+                    w = max(lo, 1)
+                    np.right_shift(src[w - 1 : hi - 1], 64 - r, out=carry[w:hi])
+                    shifted[w:hi] |= carry[w:hi]
+                    barrier.wait()
+                copy = (shifted if r else src).view(np.uint8)
+                for o in islice(starts, bisect_left(starts, hi * 8)):
+                    b = max(o, lo * 8)
+                    acc8[b : hi * 8] |= copy[b - o : hi * 8 - o]
+                barrier.wait()
+        except BaseException as exc:  # re-raised in the calling thread below
+            errors.append(exc)
+            barrier.abort()
+
+    # the calling thread takes the first range, so one range starts no thread
+    threads = [threading.Thread(target=work, args=span) for span in spans[1:]]
+    try:
+        for thread in threads:
+            thread.start()
+        work(*spans[0])
+    except BaseException:  # a thread did not start: stop the started ones
+        barrier.abort()
+        raise
+    finally:
+        for thread in threads:
+            if thread.ident is not None:
+                thread.join()
+    if errors:
+        raise errors[0]
+    del src, shifted, carry
     acc[-1] &= np.uint64((1 << (bound % 64 + 1)) - 1)
     return int.from_bytes(acc, "little")
+
+
+def _usable_cpus() -> int:
+    """The number of CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _split_words(starts, words: int, cpus: int) -> list[tuple[int, int]]:
+    """Contiguous ``(lo, hi)`` word ranges that cover ``[0, words)``, one per
+    worker of ``_shift_or_words`` for the member byte offsets ``starts``.
+
+    There are at most ``cpus`` ranges, and each spans at least
+    ``SHIFT_OR_RANGE_WORDS`` words unless there is one, so smaller masks stay
+    on one thread.  A member ORs every byte above its offset, so the OR work
+    at a word grows with the members below it; the cuts split the running
+    total of that work evenly, then move apart to the least span.
+    """
+    import numpy as np
+
+    floor = SHIFT_OR_RANGE_WORDS
+    k = min(cpus, words // floor)
+    if k <= 1:
+        return [(0, words)]
+    work = np.cumsum(np.bincount(starts >> 3, minlength=words))
+    np.cumsum(work, out=work)
+    cuts = [0]
+    for i in range(1, k):
+        cut = int(np.searchsorted(work, work[-1] * i // k))
+        cuts.append(min(max(cut, cuts[-1] + floor), words - (k - i) * floor))
+    cuts.append(words)
+    return list(zip(cuts, cuts[1:]))
 
 
 def _shifted_runs(

@@ -3,9 +3,11 @@ import os
 import random
 import subprocess
 import sys
+import threading
 import tracemalloc
 from itertools import islice
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -16,6 +18,7 @@ from addbasis import (
     BoundCeilingError,
     Explicit,
     Interval,
+    Powers,
     PrefixBitset,
     contains,
     full_mask,
@@ -28,7 +31,12 @@ from addbasis import (
 from addbasis import setexpr as setexpr_module
 from addbasis import sumset as sumset_module
 from addbasis.order import order_bounds
-from addbasis.sumset import RUN_PAIR_WORDS, SHIFT_OR_NUMPY_WORDS, sumset_folds
+from addbasis.sumset import (
+    RUN_PAIR_WORDS,
+    SHIFT_OR_NUMPY_WORDS,
+    SHIFT_OR_RANGE_WORDS,
+    sumset_folds,
+)
 from strategies import set_exprs
 
 
@@ -86,12 +94,15 @@ def random_mask(rng, bound, k):
 
 class TestShiftOrLoops:
     """The numpy word loop against the Python-int loop, forced by moving
-    SHIFT_OR_NUMPY_WORDS, on seeded random operands around the floor."""
+    SHIFT_OR_NUMPY_WORDS, on seeded random operands around the floor, split
+    into 1, 2, 3 and (where the words allow) 5 accumulator ranges."""
 
     FLOOR = SHIFT_OR_NUMPY_WORDS
     # words = bound // 64 + 1, so these two bounds straddle the floor with
     # bound % 64 equal to 63 and to 0
     BOUNDS = (0, 63, 64, 127, 200, 64 * FLOOR - 65, 64 * FLOOR - 64)
+    # 5 CPUs is more ranges than the 1 to 4 words below bound 256 allow
+    CPUS = (1, 2, 3, 5)
 
     @staticmethod
     def operand_pairs(rng, bound):
@@ -101,6 +112,9 @@ class TestShiftOrLoops:
         yield 0, random_mask(rng, bound, 100)
         yield 1 << rng.randint(0, bound), random_mask(rng, bound, 100)
         yield 1 << bound, full_mask(bound)
+        yield 1, random_mask(rng, bound, 100)
+        # the outer is the sparser operand, so both are dense here
+        yield random_mask(rng, bound, bound // 2 + 1), random_mask(rng, bound, (bound + 1) * 3 // 4)
 
     def test_loops_agree(self, monkeypatch):
         rng = random.Random(11)
@@ -109,12 +123,75 @@ class TestShiftOrLoops:
                 p = PrefixBitset(bound, pm)
                 q = PrefixBitset(bound, qm)
                 default = pair_sumset(p, q, bound)
-                monkeypatch.setattr(sumset_module, "SHIFT_OR_NUMPY_WORDS", 0)
-                words = pair_sumset(p, q, bound)
                 monkeypatch.setattr(sumset_module, "SHIFT_OR_NUMPY_WORDS", 2**63)
                 ints = pair_sumset(p, q, bound)
-                monkeypatch.setattr(sumset_module, "SHIFT_OR_NUMPY_WORDS", self.FLOOR)
-                assert words == ints == default, bound
+                monkeypatch.setattr(sumset_module, "SHIFT_OR_NUMPY_WORDS", 0)
+                monkeypatch.setattr(sumset_module, "SHIFT_OR_RANGE_WORDS", 1)
+                for cpus in self.CPUS:
+                    monkeypatch.setattr(sumset_module, "_usable_cpus", lambda: cpus)
+                    assert pair_sumset(p, q, bound) == ints, (bound, cpus)
+                monkeypatch.undo()
+                assert default == ints, bound
+
+    def test_numpy_loop_leaves_no_threads(self, monkeypatch):
+        monkeypatch.setattr(sumset_module, "_usable_cpus", lambda: 3)
+        monkeypatch.setattr(sumset_module, "SHIFT_OR_RANGE_WORDS", self.FLOOR)
+        squares = materialize(Powers(2), 64 * 4 * self.FLOOR)
+        twice = iterate_sumset(Powers(2), 2, squares.bound).bits
+        split = sumset_module._split_words
+        spans = []
+        monkeypatch.setattr(
+            sumset_module, "_split_words", lambda *a: spans.extend(split(*a)) or spans
+        )
+        before = threading.active_count()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # threads switch often, so a missed wait shows
+        try:
+            thrice = pair_sumset(twice, squares, squares.bound)
+        finally:
+            sys.setswitchinterval(interval)
+        assert threading.active_count() == before
+        assert len(spans) == 3
+        monkeypatch.setattr(sumset_module, "SHIFT_OR_NUMPY_WORDS", 2**63)
+        assert thrice == pair_sumset(twice, squares, squares.bound)
+
+    def test_worker_error_reaches_the_caller(self, monkeypatch):
+        monkeypatch.setattr(sumset_module, "_usable_cpus", lambda: 3)
+        monkeypatch.setattr(sumset_module, "SHIFT_OR_RANGE_WORDS", self.FLOOR)
+        squares = materialize(Powers(2), 64 * 4 * self.FLOOR)
+        raised = []
+
+        def fold():
+            try:
+                pair_sumset(squares, squares, squares.bound)
+            except ArithmeticError as exc:
+                raised.append(str(exc))
+
+        caller = threading.Thread(target=fold)
+
+        def islice_failing_off_the_caller(*args):
+            if threading.current_thread() is not caller:
+                raise ArithmeticError("worker failed")
+            return islice(*args)
+
+        monkeypatch.setattr(sumset_module, "islice", islice_failing_off_the_caller)
+        before = threading.active_count()
+        caller.start()
+        caller.join(timeout=60)
+        assert not caller.is_alive()
+        assert raised == ["worker failed"]
+        assert threading.active_count() == before
+
+    @given(st.integers(1, 8 * SHIFT_OR_RANGE_WORDS), st.integers(1, 16), st.data())
+    def test_word_ranges_cover(self, words, cpus, data):
+        picks = data.draw(st.lists(st.integers(0, words * 8 - 1), max_size=50))
+        starts = np.array(sorted(picks), dtype=np.int64)
+        spans = sumset_module._split_words(starts, words, cpus)
+        assert len(spans) == max(1, min(cpus, words // SHIFT_OR_RANGE_WORDS))
+        assert spans[0][0] == 0 and spans[-1][1] == words
+        assert all(a[1] == b[0] for a, b in zip(spans, spans[1:]))
+        if len(spans) > 1:
+            assert all(hi - lo >= SHIFT_OR_RANGE_WORDS for lo, hi in spans)
 
     def test_small_folds_never_import_numpy(self):
         # squares at 2.1e4 fold on shift-OR with 329-word masks, below the floor
