@@ -48,6 +48,7 @@ SHIFT_OR_NUMPY_WORDS = 1024
 # cubes and sqrt(N) random points, on 2 vCPUs, two runs): 0.31-0.56x at 2,048
 # and 8,192 words, 0.52-1.03x at 32,768, 0.73-1.07x at 65,536, 1.00-1.26x
 # at 98,304, 1.03-1.69x at 131,072 and 1.23-2.13x at 156,251 (N = 1e7).
+# Three or more ranges have not been timed.
 SHIFT_OR_RANGE_WORDS = 65536
 
 
@@ -171,7 +172,12 @@ def _split_words(starts, words: int, cpus: int) -> list[tuple[int, int]]:
     ``SHIFT_OR_RANGE_WORDS`` words unless there is one, so smaller masks stay
     on one thread.  A member ORs every byte above its offset, so the OR work
     at a word grows with the members below it; the cuts split the running
-    total of that work evenly, then move apart to the least span.
+    total of that work evenly, then move apart to the least span.  On two
+    CPUs the least span holds the cut up to about N = 1e7 for cubes, 1.2e7
+    for squares and 1.5e7 for sqrt(N) random points; above that the balance
+    pays: a 2A + A fold at N = 3e7 took 0.62-0.67 s for squares and
+    0.40-0.46 s for random points, against 0.83-1.06 s and 0.71-0.90 s on
+    two equal ranges (best and median of 5, two runs, 2 vCPUs).
     """
     import numpy as np
 

@@ -187,11 +187,24 @@ class TestShiftOrLoops:
         picks = data.draw(st.lists(st.integers(0, words * 8 - 1), max_size=50))
         starts = np.array(sorted(picks), dtype=np.int64)
         spans = sumset_module._split_words(starts, words, cpus)
-        assert len(spans) == max(1, min(cpus, words // SHIFT_OR_RANGE_WORDS))
+        k = len(spans)
+        assert k == max(1, min(cpus, words // SHIFT_OR_RANGE_WORDS))
         assert spans[0][0] == 0 and spans[-1][1] == words
         assert all(a[1] == b[0] for a, b in zip(spans, spans[1:]))
-        if len(spans) > 1:
+        if k > 1:
             assert all(hi - lo >= SHIFT_OR_RANGE_WORDS for lo, hi in spans)
+
+        def work_below(cut):
+            # words ORed below `cut`: a member ORs every word from its own up
+            return sum(max(0, cut - (o >> 3)) for o in picks)
+
+        # each inner cut splits the OR work evenly, to within the one word
+        # at the cut, unless the least span on either side holds it in place
+        total = work_below(words)
+        for i, (lo, cut) in enumerate(spans[:-1], 1):
+            held = {lo + SHIFT_OR_RANGE_WORDS, words - (k - i) * SHIFT_OR_RANGE_WORDS}
+            share = total * i // k
+            assert cut in held or work_below(cut) < share <= work_below(cut + 1)
 
     def test_small_folds_never_import_numpy(self):
         # squares at 2.1e4 fold on shift-OR with 329-word masks, below the floor
