@@ -13,7 +13,6 @@ from .analysis import (
     DensityRow,
     HypothesisReport,
     SubseqSpec,
-    counting,
     density_sequence,
     hypothesis_probe,
     parse_subseq,
@@ -43,12 +42,10 @@ from .setexpr import (
     SemanticError,
     SetExpr,
     Union,
-    contains,
     expr_runs,
     family_blocks,
     materialize,
     parse_set_expr,
-    to_text,
 )
 from .sumset import (
     SumsetResult,
@@ -87,8 +84,6 @@ __all__ = [
     "VerificationError",
     "VerifyOutcome",
     "ZERO_RATIO",
-    "contains",
-    "counting",
     "density_sequence",
     "expr_runs",
     "family_blocks",
@@ -105,7 +100,6 @@ __all__ = [
     "representation_count",
     "run_sumset",
     "stability_probe",
-    "to_text",
     "verify_counterexample",
     "window_extrema",
 ]

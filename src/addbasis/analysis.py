@@ -16,7 +16,7 @@ from itertools import islice
 from typing import Sequence
 
 from .bitset import PrefixBitset
-from .setexpr import SemanticError, SetExpr, U64_MAX, check_bound, expr_runs
+from .setexpr import SemanticError, SetExpr, U64_MAX
 from .sumset import iterate_sumset, sumset_folds
 
 
@@ -121,17 +121,6 @@ class DensityReport:
     def __post_init__(self):
         if not self.rows:
             raise ValueError("density report needs at least one row")
-
-
-def counting(expr: SetExpr, n: int) -> int:
-    """Elements of the set in ``[1, n]``; zero is excluded by definition.
-
-    Summed over the run widths of ``expr_runs``, with no mask; ``n`` is held
-    to the ``materialize`` ceiling, the guard every bound-taking entry point
-    shares.
-    """
-    check_bound(n)
-    return sum(hi - max(lo, 1) + 1 for lo, hi in expr_runs(expr, n) if hi >= 1)
 
 
 def _density_rows(

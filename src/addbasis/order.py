@@ -3,11 +3,12 @@
 Lower bounds come with gap witnesses and are certificates for the infinite
 set (truncation soundness).  Upper bounds are prefix facts only: "hA covers
 [0, N]" says nothing beyond N, and every report labels them that way.
-Witnesses and survivors are re-verified through the representation-counting
-path, which calls neither sumset kernel.  Sumsets are monotone in the set, so
-a survivor of the probe of ``A ∪ [0, M]`` survives every finite F ⊆ [0, M];
-the random stability sweep is decided by that one probe whenever it keeps
-every term.
+Witnesses and survivors are re-verified by ``representation_count``, which
+calls neither sumset kernel: a sum of A's runs is the interval between their
+endpoint sums, so n is in hA iff some h runs have ``Σ lo <= n <= Σ hi``.
+Sumsets are monotone in the set, so a survivor of the probe of ``A ∪ [0, M]``
+survives every finite F ⊆ [0, M]; the random stability sweep is decided by
+that one probe whenever it keeps every term.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .analysis import SubseqSpec
-from .setexpr import Augment, SetExpr
+from .setexpr import Augment, Interval, SetExpr, Union
 from .sumset import (  # noqa: F401  pair_sumset: bench/test_oracles.py traces it here
     iterate_sumset,
     pair_sumset,
@@ -136,8 +137,8 @@ def stability_probe(
     """Test which family terms stay outside ``(h-1)(A ∪ F)``.
 
     Reads each verdict as membership in the (h-1)-fold of ``sumset_folds``
-    over ``A ∪ F``, then re-verifies every survivor through representation
-    counting.
+    over ``A ∪ F``, then re-verifies every survivor with
+    ``representation_count``.
     """
     if h < 2:
         raise ValueError(f"stability probe needs h >= 2, got {h}")
@@ -213,9 +214,10 @@ def random_stability_sweep(
     is probed.
     """
     terms = tuple(n for _, n in family.indexed_terms())
-    pool = range(SWEEP_ELEMENT_CEILING + 1)
-    if stability_probe(expr, pool, h, family, bound).survivors == terms:
+    universal = Union(expr, Interval(0, SWEEP_ELEMENT_CEILING))
+    if stability_probe(universal, (), h, family, bound).survivors == terms:
         return SweepReport(terms, ())
+    pool = range(SWEEP_ELEMENT_CEILING + 1)
     rng = random.Random(seed)
     failing: list[int] = []
     for i in range(SWEEP_RUNS):

@@ -14,8 +14,7 @@ import os
 import threading
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from itertools import groupby, islice
-from math import comb, factorial
+from itertools import islice
 from typing import Iterator
 
 from .bitset import PrefixBitset, full_mask, iter_bits, runs_mask
@@ -260,43 +259,19 @@ def iterate_sumset(expr: SetExpr, h: int, bound: int) -> SumsetResult:
     return SumsetResult(h, bound, bits)
 
 
-def _box_tuples(picked: list[int], widths: list[int], m: int) -> int:
-    """Ordered tuples drawn from the runs of the multiset ``picked`` (run
-    indices, nondecreasing) whose offsets above the runs' low ends sum to ``m``.
-
-    Each of the ``h!/Πμ!`` orders of the multiset admits the same offset tuples
-    ``0 <= x < w``.  Inclusion–exclusion over how many of a run's ``μ`` offsets
-    reach its width ``w`` counts them:
-    ``Σ_j Π (-1)^j·C(μ, j) · C(m - Σ j·w + h - 1, h - 1)``, skipping negative
-    remainders.  Terms with equal remainders are merged as the groups go.
-    """
-    h = len(picked)
-    arrangements = factorial(h)
-    terms = {m: 1}
-    for i, group in groupby(picked):
-        mu = sum(1 for _ in group)
-        arrangements //= factorial(mu)
-        w = widths[i]
-        merged: dict[int, int] = {}
-        for r, c in terms.items():
-            for j in range(min(mu, r // w) + 1):
-                term = comb(mu, j) * (-c if j & 1 else c)
-                merged[r - j * w] = merged.get(r - j * w, 0) + term
-        terms = merged
-    return arrangements * sum(c * comb(r + h - 1, h - 1) for r, c in terms.items())
-
-
 def representation_count(expr: SetExpr, h: int, n: int) -> int:
-    """Number of ORDERED h-tuples of elements summing to ``n``.
+    """Multisets of h runs of ``A ∩ [0, n]`` whose interval sums hold ``n``, counted.
 
-    Counted in closed form over the runs of ``A ∩ [0, n]`` from ``expr_runs``,
-    independent of both sumset kernels; positive iff ``n`` lies in the h-fold
-    sumset.  Run multisets ``i_1 <= ... <= i_h`` are enumerated depth-first,
-    pruned to those whose low ends can sum to at most ``n`` and high ends to
-    at least ``n``, so the last run is a bisect range; ``_box_tuples`` counts
-    each.  The cost is in run multisets, not in ``n``, and the count is exact
-    (Python ints do not overflow).  ``n`` is held to the ``materialize``
-    ceiling, the guard every bound-taking entry point shares.
+    A sum of integer intervals is the interval between its endpoint sums, so
+    the h-fold sums drawn from runs ``i_1 <= ... <= i_h`` fill ``[Σ lo, Σ hi]``
+    and the count is positive iff ``n`` lies in the h-fold sumset.  The runs
+    come from ``expr_runs``, independent of both sumset kernels.  Multisets
+    are enumerated depth-first, pruned to those whose low ends can sum to at
+    most ``n`` and high ends to at least ``n``, so the last run is a bisect
+    range and every multiset the walk completes represents ``n``.  The cost is
+    in run multisets, not in ``n``, and a gap certificate (a count of 0)
+    completes none.  ``n`` is held to the ``materialize`` ceiling, the guard
+    every bound-taking entry point shares.
     """
     if h < 1:
         raise ValueError(f"fold count must be >= 1, got {h}")
@@ -308,7 +283,6 @@ def representation_count(expr: SetExpr, h: int, n: int) -> int:
         return 0
     los = [lo for lo, _ in runs]
     his = [hi for _, hi in runs]
-    widths = [hi - lo + 1 for lo, hi in runs]
     top = his[-1]
 
     def candidates(start: int, left: int, lo_sum: int, hi_sum: int) -> Iterator[int]:
@@ -321,20 +295,17 @@ def representation_count(expr: SetExpr, h: int, n: int) -> int:
     # an explicit stack rather than recursion: h may exceed the recursion limit.
     # Each open place holds its candidate runs and the (Σ lo, Σ hi) before it.
     total = 0
-    picked: list[int] = []
     places = [(candidates(0, h, 0, 0), 0, 0)]
     while places:
         runs_left, lo_sum, hi_sum = places[-1]
         i = next(runs_left, None)
-        del picked[len(places) - 1 :]
         if i is None:
             places.pop()
             continue
-        picked.append(i)
         lo_sum += los[i]
         hi_sum += his[i]
-        if len(picked) == h:
-            total += _box_tuples(picked, widths, n - lo_sum)
+        if len(places) == h:
+            total += 1
         else:
-            places.append((candidates(i, h - len(picked), lo_sum, hi_sum), lo_sum, hi_sum))
+            places.append((candidates(i, h - len(places), lo_sum, hi_sum), lo_sum, hi_sum))
     return total

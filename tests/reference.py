@@ -1,0 +1,76 @@
+"""Reference implementations the tests check the package against.
+
+``contains`` decides membership structurally, one number at a time, with no
+runs and no mask: the oracle for ``expr_runs`` and for ``verify._recount``.
+``to_text`` is the canonical printer the parser round-trips with.
+"""
+
+from addbasis import Augment, BlockFamily, Explicit, Interval, Powers, SetExpr, Union
+
+
+def _iroot(n: int, k: int) -> int:
+    """Largest r with r**k <= n, exactly."""
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    if k == 1 or n in (0, 1):
+        return n
+    r = max(int(round(n ** (1.0 / k))), 1)
+    while r**k > n:
+        r -= 1
+    while (r + 1) ** k <= n:
+        r += 1
+    return r
+
+
+def contains(expr: SetExpr, n: int) -> bool:
+    """Exact membership of ``n``, decided structurally without materializing."""
+    if n < 0:
+        return False
+    if isinstance(expr, Explicit):
+        return n in expr.elements
+    if isinstance(expr, Interval):
+        return expr.lo <= n <= expr.hi
+    if isinstance(expr, Powers):
+        return _iroot(n, expr.exponent) ** expr.exponent == n
+    if isinstance(expr, BlockFamily):
+        # walks the blocks itself, apart from family_blocks: the tests scan
+        # it as the oracle for verify._recount's closed-form count
+        if n <= expr.head_end:
+            return True
+        i = 2
+        while True:
+            lo = expr.mult * expr.base ** (i - 1) + expr.offset
+            if n < lo:
+                return False
+            if n <= expr.base**i:
+                return True
+            i += 1
+    if isinstance(expr, Union):
+        return contains(expr.left, n) or contains(expr.right, n)
+    if isinstance(expr, Augment):
+        return n in expr.extra or contains(expr.base, n)
+    raise TypeError(f"not a SetExpr: {expr!r}")
+
+
+def to_text(expr: SetExpr) -> str:
+    """Canonical printing; ``parse_set_expr(to_text(e)) == e`` for every node."""
+    if isinstance(expr, Explicit):
+        return "explicit{" + ",".join(str(x) for x in expr.elements) + "}"
+    if isinstance(expr, Interval):
+        return f"interval[{expr.lo},{expr.hi}]"
+    if isinstance(expr, Powers):
+        return f"powers({expr.exponent})"
+    if isinstance(expr, BlockFamily):
+        return f"paperfamily({expr.base},{expr.head_end},{expr.mult},{expr.offset})"
+    if isinstance(expr, Union):
+        left = to_text(expr.left)
+        right = to_text(expr.right)
+        if isinstance(expr.right, Union):
+            right = f"({right})"  # keep right-nested unions from reassociating
+        return f"{left} | {right}"
+    if isinstance(expr, Augment):
+        base = to_text(expr.base)
+        if isinstance(expr.base, (Union, Augment)):
+            base = f"({base})"
+        return base + " + {" + ",".join(str(x) for x in expr.extra) + "}"
+    raise TypeError(f"not a SetExpr: {expr!r}")

@@ -1,3 +1,4 @@
+import json
 import random
 from itertools import islice
 
@@ -13,6 +14,7 @@ from addbasis import (
     Powers,
     PrefixBitset,
     SubseqSpec,
+    VerificationError,
     materialize,
     order_bounds,
     pair_sumset,
@@ -20,6 +22,8 @@ from addbasis import (
     stability_probe,
 )
 from addbasis import order as order_module
+from addbasis import sumset as sumset_module
+from addbasis.cli import main
 from addbasis.order import SWEEP_ELEMENT_CEILING, SWEEP_MAX_SIZE, SWEEP_RUNS
 from strategies import set_exprs
 from test_sumset import brute_fold
@@ -177,6 +181,50 @@ class TestStabilityProbe:
         large = stability_probe(COUNTEREXAMPLE, tuple(f_large), 3, family, 21000)
         # growing F can only create representations, never destroy them
         assert set(large.survivors) <= set(small.survivors)
+
+
+@pytest.fixture
+def clear_in_fold(monkeypatch):
+    """Corrupt the sumset folds: ``clear_in_fold(h, n)`` drops ``n`` from
+    every h-fold the fold chain yields, as a kernel fault would, so only the
+    certificate re-check can notice."""
+    real = sumset_module.sumset_folds
+
+    def install(h, n):
+        def folds(expr, bound):
+            for j, bits in enumerate(real(expr, bound)):
+                yield PrefixBitset(bound, bits.mask & ~(1 << n)) if j == h else bits
+
+        monkeypatch.setattr(sumset_module, "sumset_folds", folds)  # iterate_sumset
+        monkeypatch.setattr(order_module, "sumset_folds", folds)  # order_bounds
+
+    return install
+
+
+class TestCorruptedFold:
+    def test_order_witness_is_refused(self, clear_in_fold, capsys):
+        clear_in_fold(3, 6)  # 6 = 1 + 1 + 4, the first gap of 3A would be 7
+        with pytest.raises(VerificationError):
+            order_bounds(SQUARES, 100, 5)
+        assert main(["order", "--set", "squares", "--bound", "100", "--hmax", "5"]) == 3
+        assert "verification failure" in capsys.readouterr().err
+
+    def test_stability_survivor_is_refused(self, clear_in_fold):
+        clear_in_fold(2, 25)  # 25 = 9 + 16
+        family = SubseqSpec(a=1, base=None, c=0, start=25, count=1)
+        with pytest.raises(VerificationError):
+            stability_probe(SQUARES, (), 3, family, 100)
+
+    def test_verify_gap_scan_is_refused(self, clear_in_fold, capsys):
+        clear_in_fold(2, 500)  # 500 = 0 + 500 lies in 2A
+        assert main(["verify-counterexample", "--bound", "21000"]) == 3
+        report = json.loads(capsys.readouterr().out)
+        claims = {c["name"]: c for c in report["result"]["claims"]}
+        gap = claims["pair-gap-family"]
+        assert gap["status"] == "FAIL"
+        assert gap["detail"]["got"] == [21, 201, 500, 2001, 20001]
+        assert gap["detail"]["certificates_verified"] is False
+        assert report["result"]["overall"] == "FAIL"
 
 
 def drawn_sets(seed):

