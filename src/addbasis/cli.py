@@ -6,12 +6,17 @@ A result echoes its inputs and adds the library report's fields through
 
 Exit codes: 0 success, 2 precondition or usage violation, 3 internal
 verification failure (a mathematical claim or certificate did not hold).
+
+``main(argv)`` may be called repeatedly in one process: the parser is built
+once, on first use, and holds only argument definitions.  Each call picks its
+command's handler by name from this module when it runs.
 """
 
 from __future__ import annotations
 
 import argparse
 import decimal
+import functools
 import sys
 import time
 
@@ -190,7 +195,9 @@ def _add_format_flags(sp: argparse.ArgumentParser, plot_data: bool = False) -> N
         )
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of this process, built on the first call and shared."""
     parser = argparse.ArgumentParser(
         prog="addbasis",
         description="Experiments with additive bases: sumsets, densities, order and stability probes.",
@@ -203,7 +210,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sp.add_argument("--bound", type=nat_arg, default=210000)
     sp.add_argument("--seed", type=int, default=0, help="stability sweep RNG seed")
-    sp.set_defaults(handler=_cmd_verify, set="counterexample")
+    sp.set_defaults(set="counterexample")
     _add_format_flags(sp)
 
     sp = sub.add_parser("sumset", help="h-fold sumset membership and gaps over [0, bound]")
@@ -211,14 +218,12 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--h", type=int, required=True, help="fold count")
     sp.add_argument("--bound", type=nat_arg, required=True)
     sp.add_argument("--limit", type=nat_arg, default=100, help="member/gap listing cap")
-    sp.set_defaults(handler=_cmd_sumset)
     _add_format_flags(sp)
 
     sp = sub.add_parser("order", help="certified order lower bound and prefix upper bound")
     sp.add_argument("--set", required=True)
     sp.add_argument("--bound", type=nat_arg, required=True)
     sp.add_argument("--hmax", type=int, required=True)
-    sp.set_defaults(handler=_cmd_order)
     _add_format_flags(sp)
 
     sp = sub.add_parser("density", help="counting-function ratios of tA along a subsequence")
@@ -227,7 +232,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--subseq", required=True, help='e.g. "2*10^k+1" or "10^k"')
     sp.add_argument("--terms", type=int, default=5)
     sp.add_argument("--start", type=int, default=1, help="first index k")
-    sp.set_defaults(handler=_cmd_density)
     _add_format_flags(sp, plot_data=True)
 
     sp = sub.add_parser("stability", help="which witness-family terms stay outside (h-1)(A ∪ F)")
@@ -238,7 +242,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--terms", type=int, default=4)
     sp.add_argument("--start", type=int, default=1)
     sp.add_argument("--bound", type=nat_arg, required=True)
-    sp.set_defaults(handler=_cmd_stability)
     _add_format_flags(sp)
 
     sp = sub.add_parser("probe", help="sample the (h-2)A and (h-1)A density trend conditions")
@@ -247,26 +250,33 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--subseq", required=True)
     sp.add_argument("--terms", type=int, default=5)
     sp.add_argument("--start", type=int, default=1)
-    sp.set_defaults(handler=_cmd_probe)
     _add_format_flags(sp, plot_data=True)
 
     return parser
 
 
 # parsed attributes that are not inputs of the computation
-_NOT_INPUTS = ("command", "handler", "csv", "plot_data")
+_NOT_INPUTS = ("command", "csv", "plot_data")
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     inputs = {k: v for k, v in vars(args).items() if k not in _NOT_INPUTS}
+    # looked up per call, so a handler rebound on this module is the one that runs
+    handler = {
+        "verify-counterexample": _cmd_verify,
+        "sumset": _cmd_sumset,
+        "order": _cmd_order,
+        "density": _cmd_density,
+        "stability": _cmd_stability,
+        "probe": _cmd_probe,
+    }[args.command]
     started = time.perf_counter()
     try:
-        result, status = args.handler(args)
+        result, status = handler(args)
     except VerificationError as exc:
         print(f"error: internal verification failure: {exc}", file=sys.stderr)
         return 3

@@ -15,6 +15,7 @@ import threading
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import islice
+from pathlib import Path
 from typing import Iterator
 
 from .bitset import PrefixBitset, full_mask, iter_bits, runs_mask
@@ -156,11 +157,43 @@ def _shift_or_words(outer: int, inner: int, bound: int) -> int:
     return int.from_bytes(acc, "little")
 
 
+# cgroup files that cap this process's CPU time, read as "quota period":
+# cgroup v2 holds both in cpu.max, v1 one in each file
+_CPU_QUOTA_FILES = (
+    ("/sys/fs/cgroup/cpu.max",),
+    ("/sys/fs/cgroup/cpu/cpu.cfs_quota_us", "/sys/fs/cgroup/cpu/cpu.cfs_period_us"),
+)
+
+
 def _usable_cpus() -> int:
-    """The number of CPUs this process may run on."""
+    """The number of CPUs this process may run on at once: its affinity set,
+    capped by the CPU quota in the first of ``_CPU_QUOTA_FILES`` that can be
+    read, when that sets one."""
     if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    for paths in _CPU_QUOTA_FILES:
+        try:
+            text = " ".join(Path(path).read_text() for path in paths)
+        except (OSError, ValueError):  # missing, or not readable as text
+            continue
+        quota = _quota_cpus(text)
+        return cpus if quota is None else min(cpus, quota)
+    return cpus
+
+
+def _quota_cpus(text: str) -> int | None:
+    """``ceil(quota / period)``, at least 1, from cgroup ``"quota period"``
+    text; None when it sets no quota (``max`` in v2, ``-1`` in v1) or is not
+    two integers."""
+    try:
+        quota, period = map(int, text.split())
+    except ValueError:
+        return None
+    if quota < 0 or period <= 0:
+        return None
+    return max(1, -(-quota // period))
 
 
 def _split_words(starts, words: int, cpus: int) -> list[tuple[int, int]]:

@@ -1,3 +1,4 @@
+import argparse
 import copy
 import csv
 import io
@@ -33,8 +34,6 @@ class TestBoundParsing:
         assert nat_arg("1e3") == 1000
 
     def test_rejects_fractional(self):
-        import argparse
-
         with pytest.raises(argparse.ArgumentTypeError):
             nat_arg("2.5e0")
         with pytest.raises(argparse.ArgumentTypeError):
@@ -281,6 +280,43 @@ class TestExitCodes:
         assert code == 3
         assert out == ""
         assert "self-validation" in err
+
+
+class TestParserReuse:
+    def test_defaults_do_not_leak(self, capsys):
+        verify = ("verify-counterexample", "--bound", "21000")
+        assert run_json(capsys, *verify, "--seed", "5")["inputs"]["seed"] == 5
+        assert run_json(capsys, *verify)["inputs"]["seed"] == 0
+        stability = ("stability", "--set", "counterexample", "--h", "3", "--subseq", "2*10^k+1",
+                     "--terms", "2", "--bound", "2100")
+        assert run_json(capsys, *stability, "--add", "1,2")["result"]["added"] == [1, 2]
+        assert run_json(capsys, *stability)["result"]["added"] == []
+
+    def test_parser_built_once(self, capsys, monkeypatch):
+        # every call after the first reuses the parser, so none constructs one,
+        # the subcommand parsers included
+        jobs = (
+            ["verify-counterexample", "--bound", "21000"],
+            ["sumset", "--set", "squares", "--h", "2", "--bound", "100", "--csv"],
+            ["order", "--set", "squares", "--bound", "100", "--hmax", "4"],
+            ["density", "--set", "squares", "--subseq", "10^k", "--terms", "2", "--plot-data"],
+            ["stability", "--set", "counterexample", "--add", "3", "--h", "3",
+             "--subseq", "2*10^k+1", "--terms", "2", "--bound", "2100"],
+            ["probe", "--set", "squares", "--h", "4", "--subseq", "10^k", "--terms", "2"],
+            ["order", "--set", "squares"],
+        )
+        run_cli(capsys, *jobs[2])
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+        codes = [run_cli(capsys, *jobs[i % len(jobs)])[0] for i in range(20)]
+        assert built == []
+        assert codes == ([0] * 6 + [2]) * 2 + [0] * 6
 
 
 class TestReportSchema:

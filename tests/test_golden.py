@@ -76,6 +76,34 @@ def test_golden(name, capsys):
     assert TIMING.sub(MASK, out) == TIMING.sub(MASK, (GOLDEN / name).read_text())
 
 
+# calls between two passes over the goldens, with the start of their stdout:
+# each failure exits 2 before any output, and the other output modes must
+# leave the shared parser as it was
+INTERLEAVED = (
+    ("order --set squares", 2, ""),  # argparse usage error: --bound and --hmax missing
+    ("sumset --set interval[5,2] --h 2 --bound 10", 2, ""),  # SemanticError
+    ("sumset --set primes --h 2 --bound 10", 2, ""),  # ParseError
+    ("verify-counterexample --bound 21000 --csv", 0, "claim,status\n"),
+    ('density --set counterexample --subseq "10^k" --terms 3 --plot-data', 0, "1 10 1\n"),
+    ("--help", 0, "usage: addbasis"),
+)
+
+
+def test_goldens_survive_parser_reuse(capsys):
+    # main builds its parser once per process, so nothing a call parses may
+    # change what a later call prints
+    for _ in range(2):
+        for name in sorted(CASES):
+            argv, want_code = CASES[name]
+            assert main(shlex.split(argv)) == want_code
+            out = capsys.readouterr().out
+            assert TIMING.sub(MASK, out) == TIMING.sub(MASK, (GOLDEN / name).read_text()), name
+        for argv, want_code, want_start in INTERLEAVED:
+            assert main(shlex.split(argv)) == want_code, argv
+            out = capsys.readouterr().out
+            assert out.startswith(want_start) and bool(out) == bool(want_start), argv
+
+
 def readme_python_values() -> tuple[dict, list]:
     """Run the README's ``python`` blocks in order in one namespace.
 

@@ -231,6 +231,54 @@ class TestShiftOrLoops:
         assert done.returncode == 0, done.stderr
 
 
+class TestUsableCpus:
+    @pytest.mark.parametrize(
+        "text, cpus",
+        [
+            ("max 100000\n", None),  # cgroup v2, no quota
+            ("200000 100000\n", 2),
+            ("150000 100000\n", 2),  # rounded up
+            ("50000 100000\n", 1),
+            ("1000 100000\n", 1),
+            ("-1\n 100000\n", None),  # cgroup v1 files joined, no quota
+            ("300000\n 100000\n", 3),
+            ("", None),
+            ("max\n", None),
+            ("100000 0\n", None),
+            ("1 2 3\n", None),
+        ],
+    )
+    def test_quota_text(self, text, cpus):
+        assert sumset_module._quota_cpus(text) == cpus
+
+    def test_quota_caps_affinity(self, monkeypatch, tmp_path):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
+        files = {
+            "v2-3": "300000 100000\n",
+            "v2-20": "2000000 100000\n",
+            "v2-max": "max 100000\n",
+            "v1-2": "200000\n",
+            "v1-none": "-1\n",
+            "period": "100000\n",
+        }
+        for name, text in files.items():
+            (tmp_path / name).write_text(text)
+        (tmp_path / "dir").mkdir()
+        # quota file list -> usable CPUs; "missing" is absent, "dir" unreadable
+        for entries, cpus in [
+            ((["v2-3"], ["v1-2", "period"]), 3),
+            ((["v2-max"], ["v1-2", "period"]), 8),
+            ((["missing"], ["v1-2", "period"]), 2),
+            ((["missing"], ["v1-none", "period"]), 8),
+            ((["missing"], ["v1-2", "missing"]), 8),
+            ((["v2-20"],), 8),
+            ((["dir"],), 8),
+        ]:
+            paths = tuple(tuple(str(tmp_path / name) for name in e) for e in entries)
+            monkeypatch.setattr(sumset_module, "_CPU_QUOTA_FILES", paths)
+            assert sumset_module._usable_cpus() == cpus, entries
+
+
 class TestIterateSumset:
     def test_zero_fold_is_singleton_zero(self):
         res = iterate_sumset(Explicit(()), 0, 10)
