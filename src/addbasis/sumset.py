@@ -45,9 +45,9 @@ SHIFT_OR_NUMPY_WORDS = 1024
 # loop gives its own thread.  Two threads contend for the interpreter lock at
 # every slice OR, so they pay only on slices long enough to outlast that.
 # Speed-up of two ranges over one per fold (2A + A, best of 7, for squares,
-# cubes and sqrt(N) random points, on 2 vCPUs, two runs): 0.31-0.56x at 2,048
-# and 8,192 words, 0.52-1.03x at 32,768, 0.73-1.07x at 65,536, 1.00-1.26x
-# at 98,304, 1.03-1.69x at 131,072 and 1.23-2.13x at 156,251 (N = 1e7).
+# cubes and sqrt(N) random points, on 2 vCPUs, two runs): 0.38-0.66x at 2,048
+# and 8,192 words, 0.50-0.79x at 32,768, 0.85-1.19x at 65,536, 1.02-1.38x
+# at 98,304, 1.30-1.86x at 131,072 and 1.37-2.16x at 156,251 (N = 1e7).
 # Three or more ranges have not been timed.
 SHIFT_OR_RANGE_WORDS = 65536
 
@@ -59,9 +59,10 @@ def pair_sumset(p: PrefixBitset, q: PrefixBitset, bound: int) -> PrefixBitset:
     kernel iterates over the sparser side since cost is popcount x words
     (tie broken toward the left operand; the result is identical either way).
     Masks of ``SHIFT_OR_NUMPY_WORDS`` words or more are ORed in place into a
-    numpy array, one byte slice per member, split by accumulator region over
-    the CPUs this process may use (``_shift_or_words``); smaller ones are ORed
-    as Python ints.
+    numpy array, one byte slice per member, split by accumulator region into
+    ranges that each fold on their own CPU, if this process may use that
+    many, and share nothing they write (``_shift_or_words``); smaller ones
+    are ORed as Python ints.
     """
     if p.bound != bound or q.bound != bound:
         raise ValueError(
@@ -83,16 +84,17 @@ def _shift_or_words(outer: int, inner: int, bound: int) -> int:
     """The OR of ``inner << a`` over the members ``a`` of ``outer``, windowed
     to ``[0, bound]``, by in-place ORs of byte slices into one numpy array.
 
-    A shift by ``a`` is a bit shift by ``a % 8`` and a byte offset of
-    ``a // 8``, so the members, read from ``outer``'s nonzero bytes, are
-    grouped by residue: each residue makes one bit-shifted copy of ``inner``
-    (carrying in the previous word's high bits), at most 8 per call, and each
-    member then ORs that copy into the accumulator at its byte offset.  Bytes
-    shifted past the last word fall off the slice.  The accumulator is split
-    into the word ranges of ``_split_words``, one per thread, the calling
-    thread included: for each residue every thread shifts its range of the
-    copy, and once all have, ORs every member into its range of the
-    accumulator.  The threads allocate nothing and are joined before return.
+    A shift by ``a`` is a byte offset of ``a // 8`` and a bit shift by
+    ``a % 8``, so the members, read from ``outer``'s nonzero bytes, are
+    grouped by residue.  The accumulator is split into the word ranges of
+    ``_split_words``, each ORed from start to finish by its own thread, the
+    calling thread included.  For each residue a range's thread ORs
+    ``inner``'s bytes at every member's offset into a private buffer that
+    covers its words and the one below them, then ORs that buffer, bit
+    shifted by the residue with the word below carrying its high bits in,
+    into its range of the accumulator.  Bytes shifted past the last word fall
+    off.  The threads read only ``inner``'s bytes, write only their own range
+    and buffers, allocate nothing and meet only when joined before return.
     """
     import numpy as np
 
@@ -105,54 +107,48 @@ def _shift_or_words(outer: int, inner: int, bound: int) -> int:
     del at, bits
     spans = _split_words(np.concatenate(residues), words, _usable_cpus())
     residues = [starts.tolist() for starts in residues]
-    src = np.frombuffer(inner.to_bytes(words * 8, "little"), dtype="<u8")
+    src = np.frombuffer(inner.to_bytes(words * 8, "little"), dtype=np.uint8)
     acc = np.zeros(words, dtype="<u8")
-    shifted = np.empty(words, dtype="<u8")
-    carry = np.empty(words, dtype="<u8")
-    acc8 = acc.view(np.uint8)
-
-    barrier = threading.Barrier(len(spans))
+    # each range's buffer and carry, allocated here: a worker's own
+    # allocations would each take a malloc arena
+    jobs = [(lo, hi, np.empty(hi - lo + 1, "<u8"), np.empty(hi - lo, "<u8")) for lo, hi in spans]
     errors: list[BaseException] = []
 
-    def work(lo: int, hi: int) -> None:
-        # words [lo, hi): this worker's part of each shifted copy, then of
-        # every member's OR; the first wait lets members read the copy below
-        # lo, the second keeps the next shift from overwriting it
+    def work(lo: int, hi: int, buf, carry) -> None:
+        # buf holds words [lo - 1, hi) of one residue's unshifted OR, carry
+        # the high bits that each of them but the last carries into the next
+        base, top = lo * 8 - 8, hi * 8
+        buf8, part = buf.view(np.uint8), acc[lo:hi]
         try:
             for r, starts in enumerate(residues):
                 if not starts:
                     continue
+                buf.fill(0)
+                for o in islice(starts, bisect_left(starts, top)):
+                    b = max(o, base)
+                    buf8[b - base :] |= src[b - o : top - o]
                 if r:
-                    np.left_shift(src[lo:hi], r, out=shifted[lo:hi])
-                    w = max(lo, 1)
-                    np.right_shift(src[w - 1 : hi - 1], 64 - r, out=carry[w:hi])
-                    shifted[w:hi] |= carry[w:hi]
-                    barrier.wait()
-                copy = (shifted if r else src).view(np.uint8)
-                for o in islice(starts, bisect_left(starts, hi * 8)):
-                    b = max(o, lo * 8)
-                    acc8[b : hi * 8] |= copy[b - o : hi * 8 - o]
-                barrier.wait()
+                    np.right_shift(buf[:-1], 64 - r, out=carry)
+                    part |= carry
+                    buf <<= r
+                part |= buf[1:]
         except BaseException as exc:  # re-raised in the calling thread below
             errors.append(exc)
-            barrier.abort()
 
     # the calling thread takes the first range, so one range starts no thread
-    threads = [threading.Thread(target=work, args=span) for span in spans[1:]]
+    threads = []
     try:
-        for thread in threads:
+        for job in jobs[1:]:
+            thread = threading.Thread(target=work, args=job)
             thread.start()
-        work(*spans[0])
-    except BaseException:  # a thread did not start: stop the started ones
-        barrier.abort()
-        raise
+            threads.append(thread)
+        work(*jobs[0])
     finally:
         for thread in threads:
-            if thread.ident is not None:
-                thread.join()
+            thread.join()
     if errors:
         raise errors[0]
-    del src, shifted, carry
+    del src, jobs
     acc[-1] &= np.uint64((1 << (bound % 64 + 1)) - 1)
     return int.from_bytes(acc, "little")
 

@@ -145,7 +145,7 @@ class TestShiftOrLoops:
         )
         before = threading.active_count()
         interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-5)  # threads switch often, so a missed wait shows
+        sys.setswitchinterval(1e-5)  # threads switch often, so a race between ranges shows
         try:
             thrice = pair_sumset(twice, squares, squares.bound)
         finally:
@@ -154,6 +154,60 @@ class TestShiftOrLoops:
         assert len(spans) == 3
         monkeypatch.setattr(sumset_module, "SHIFT_OR_NUMPY_WORDS", 2**63)
         assert thrice == pair_sumset(twice, squares, squares.bound)
+
+    def test_ranges_fold_independently(self, monkeypatch):
+        # each worker runs to completion inside start(), before the next one
+        # starts, so a range that waited on another's progress would hang
+        class InlineThread:
+            def __init__(self, target, args):
+                self.target, self.args = target, args
+
+            def start(self):
+                self.target(*self.args)
+
+            def join(self):
+                pass
+
+        rng = random.Random(12)
+        bound = 64 * 40 - 1
+        pairs = [
+            (PrefixBitset(bound, pm), PrefixBitset(bound, qm))
+            for pm, qm in self.operand_pairs(rng, bound)
+        ]
+        monkeypatch.setattr(sumset_module, "SHIFT_OR_NUMPY_WORDS", 2**63)
+        ints = [pair_sumset(p, q, bound) for p, q in pairs]
+        monkeypatch.setattr(sumset_module, "SHIFT_OR_NUMPY_WORDS", 0)
+        monkeypatch.setattr(sumset_module, "SHIFT_OR_RANGE_WORDS", 1)
+        folds = {}
+
+        def fold():
+            for cpus in (2, 3, 5):
+                monkeypatch.setattr(sumset_module, "_usable_cpus", lambda: cpus)
+                folds[cpus] = [pair_sumset(p, q, bound) for p, q in pairs]
+
+        caller = threading.Thread(target=fold, daemon=True)
+        monkeypatch.setattr(sumset_module.threading, "Thread", InlineThread)
+        caller.start()
+        caller.join(timeout=60)
+        assert not caller.is_alive(), "a range waited on another"
+        assert folds == {cpus: ints for cpus in (2, 3, 5)}
+
+    def test_numpy_loop_memory(self, monkeypatch):
+        # the loop holds the accumulator, inner's bytes and one buffer and
+        # carry per range, about 4 masks, and at most 2 at the int conversion
+        monkeypatch.setattr(sumset_module, "SHIFT_OR_RANGE_WORDS", self.FLOOR)
+        squares = materialize(Powers(2), 64 * 4 * self.FLOOR)
+        twice = iterate_sumset(Powers(2), 2, squares.bound).bits
+        mask_bytes = (squares.bound // 64 + 1) * 8
+        for cpus in (1, 3):
+            monkeypatch.setattr(sumset_module, "_usable_cpus", lambda: cpus)
+            tracemalloc.start()
+            try:
+                pair_sumset(twice, squares, squares.bound)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 5.5 * mask_bytes, (cpus, peak / mask_bytes)
 
     def test_worker_error_reaches_the_caller(self, monkeypatch):
         monkeypatch.setattr(sumset_module, "_usable_cpus", lambda: 3)
