@@ -20,11 +20,11 @@ import functools
 import sys
 import time
 
-import jsonschema
-
 from .analysis import SubseqSpec, density_sequence, hypothesis_probe, parse_subseq, window_extrema
 from .order import VerificationError, order_bounds, stability_probe
-from .report import SCHEMA_VERSION, canonical_json, jsonable, plot_data_lines, rows_csv, validate_report
+from .report import (
+    SCHEMA_VERSION, ReportError, canonical_json, jsonable, plot_data_lines, rows_csv, validate_report,
+)
 from .setexpr import U64_MAX, parse_set_expr
 from .sumset import iterate_sumset
 from .verify import verify_counterexample
@@ -294,8 +294,8 @@ def main(argv: list[str] | None = None) -> int:
     }
     try:
         validate_report(report)
-    except jsonschema.ValidationError as exc:
-        print(f"error: report failed schema self-validation: {exc.message}", file=sys.stderr)
+    except ReportError as exc:
+        print(f"error: report failed schema self-validation: {exc}", file=sys.stderr)
         return 3
     if args.csv:
         sys.stdout.write(rows_csv(report))

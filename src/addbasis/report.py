@@ -1,24 +1,26 @@
-"""Machine-readable reports: canonical JSON, schema validation, CSV rows.
+"""Machine-readable reports: canonical JSON, shape validation, CSV rows.
 
 Result fields come from the report dataclasses through ``jsonable``, the one
 place that writes a ratio field as ``p/q`` plus a ``<field>_decimal``
-sibling.  The schemas list every key a result may carry, so a new report
-field fails self-validation until its schema names it.  Keys are sorted, so
-identical inputs give byte-identical reports except for ``timing_ms``.
+sibling.  ``RESULT_SCHEMAS`` gives each command's result as a plain-Python
+shape listing every key a result may carry, so a new report field fails
+self-validation until its shape names it.  ``validate_report`` walks a whole
+report against its shape and raises ``ReportError`` at the first mismatch,
+with its path and rule; no JSON Schema library is needed at runtime.  Keys
+are sorted, so identical inputs give byte-identical reports except for
+``timing_ms``.
 """
 
 from __future__ import annotations
 
 import csv
 import dataclasses
-import functools
 import io
 import json
 import math
+import re
 from fractions import Fraction
 from typing import Any, Iterable
-
-import jsonschema
 
 SCHEMA_VERSION = "1"
 
@@ -49,189 +51,172 @@ def canonical_json(report: dict[str, Any]) -> str:
     return json.dumps(report, sort_keys=True, indent=2) + "\n"
 
 
-_NAT = {"type": "integer", "minimum": 0}
-_INT = {"type": "integer"}
-_BOOL = {"type": "boolean"}
-_STR = {"type": "string"}
-# \Z, not $: jsonschema applies the pattern with re.search, where $ also
-# matches before a trailing newline
-_RATIO = {
-    "type": "string",
-    "pattern": r"^(0|[1-9][0-9]*)(/[1-9][0-9]*)?\Z",
-    "format": "reduced-ratio",
-}
-_NAT_OR_NULL = {"anyOf": [_NAT, {"type": "null"}]}
-
-_DENSITY_ROW = {
-    "type": "object",
-    "required": ["k", "n", "count", "ratio", "ratio_decimal"],
-    "properties": {
-        "k": _NAT,
-        "n": _NAT,
-        "count": _NAT,
-        "ratio": _RATIO,
-        "ratio_decimal": _STR,
-    },
-    "additionalProperties": False,
-}
+def _natural(value: object) -> bool:
+    return type(value) is int and value >= 0
 
 
-def _obj(properties: dict[str, Any]) -> dict:
-    return {
-        "type": "object",
-        "required": sorted(properties),
-        "properties": properties,
-        "additionalProperties": False,
-    }
+def _nonnegative_number(value: object) -> bool:
+    return type(value) in (int, float) and value >= 0
 
 
-RESULT_SCHEMAS: dict[str, dict] = {
-    "sumset": _obj(
-        {
-            "set": _STR,
-            "h": _NAT,
-            "bound": _NAT,
-            "popcount": _NAT,
-            "full_coverage": _BOOL,
-            "members": {"type": "array", "items": _NAT},
-            "members_truncated": _BOOL,
-            "gaps": {"type": "array", "items": _NAT},
-            "gaps_truncated": _BOOL,
-            "limit": _NAT_OR_NULL,
-        }
-    ),
-    "order": _obj(
-        {
-            "set": _STR,
-            "bound": _NAT,
-            "h_max": _NAT,
-            "upper": _NAT_OR_NULL,
-            "lower": _NAT,
-            "witness": _NAT_OR_NULL,
-            "witness_fold": _NAT_OR_NULL,
-            "certified_lower": _BOOL,
-            "zero_in_set": _BOOL,
-            "coverage_label": _STR,
-            "scan": {
-                "type": "array",
-                "items": _obj(
-                    {"h": _NAT, "covered": _BOOL, "first_gap": _NAT_OR_NULL}
-                ),
-            },
-        }
-    ),
-    "density": _obj(
-        {
-            "set": _STR,
-            "t": _NAT,
-            "subseq": _STR,
-            "start": _NAT,
-            "terms": _NAT,
-            "rows": {"type": "array", "items": _DENSITY_ROW},
-            "min_ratio": _RATIO,
-            "max_ratio": _RATIO,
-        }
-    ),
-    "stability": _obj(
-        {
-            "set": _STR,
-            "added": {"type": "array", "items": _NAT},
-            "h": _NAT,
-            "probe_fold": _NAT,
-            "family": _STR,
-            "start": _NAT,
-            "terms": _NAT,
-            "bound": _NAT,
-            "verdicts": {
-                "type": "array",
-                "items": _obj({"k": _NAT, "n": _NAT, "in_sumset": _BOOL}),
-            },
-            "survivors": {"type": "array", "items": _NAT},
-            "conclusion": _STR,
-        }
-    ),
-    "probe": _obj(
-        {
-            "set": _STR,
-            "h": _NAT,
-            "subseq": _STR,
-            "start": _NAT,
-            "terms": _NAT,
-            "h2_fold": _NAT,
-            "h1_fold": _NAT,
-            "h2_rows": {"type": "array", "items": _DENSITY_ROW},
-            "h1_rows": {"type": "array", "items": _DENSITY_ROW},
-            "h2_ratio_trending_to_zero": _BOOL,
-            "h2_tail_max": _RATIO,
-            "h2_tail_max_decimal": _STR,
-            "h1_ratio_max": _RATIO,
-            "h1_ratio_max_decimal": _STR,
-            "h1_strictly_below_one": _BOOL,
-            "note": _STR,
-        }
-    ),
-    "verify-counterexample": _obj(
-        {
-            "claims": {
-                "type": "array",
-                "items": {
-                    "type": "object",
-                    "required": ["name", "status", "detail"],
-                    "properties": {
-                        "name": _STR,
-                        "status": {"enum": ["PASS", "FAIL"]},
-                        "detail": {"type": "object"},
-                    },
-                    "additionalProperties": False,
-                },
-            },
-            "overall": {"enum": ["PASS", "FAIL"]},
-        }
-    ),
-}
-
-
-def report_schema(command: str) -> dict:
-    """The whole report of one command: envelope and that command's result."""
-    return _obj(
-        {
-            "schema_version": {"const": SCHEMA_VERSION},
-            "command": {"const": command},
-            "inputs": {"type": "object"},
-            "result": RESULT_SCHEMAS[command],
-            "timing_ms": {"type": "number", "minimum": 0},
-        }
-    )
-
-
-_FORMATS = jsonschema.FormatChecker(formats=())
-
-
-@_FORMATS.checks("reduced-ratio", raises=ValueError)
-def _is_reduced_ratio(text: object) -> bool:
-    """``p/q`` with ``q > 1`` and ``gcd(p, q) = 1``; the pattern checks the digits."""
-    if not isinstance(text, str):
-        return True
-    p, slash, q = text.partition("/")
+def _reduced_ratio(value: object) -> bool:
+    """A natural ``p``, or ``p/q`` with ``q > 1`` and ``gcd(p, q) = 1``."""
+    if type(value) is not str or not re.fullmatch(r"(0|[1-9][0-9]*)(/[1-9][0-9]*)?", value):
+        return False
+    p, slash, q = value.partition("/")
     return not slash or (int(q) > 1 and math.gcd(int(p), int(q)) == 1)
 
 
-@functools.cache
-def _validator(command: str) -> jsonschema.protocols.Validator:
-    # built on first use, so the meta-schema check runs once per command and
-    # process rather than once per report, and never at import
-    schema = report_schema(command)
-    cls = jsonschema.validators.validator_for(schema)
-    cls.check_schema(schema)
-    return cls(schema, format_checker=_FORMATS)
+_NAT_OR_NULL = (_natural, None)
+_DENSITY_ROW = {
+    "k": _natural,
+    "n": _natural,
+    "count": _natural,
+    "ratio": _reduced_ratio,
+    "ratio_decimal": str,
+}
+
+# Shapes: a dict is an object with exactly its keys, a one-item list an array
+# of that item, a tuple any one of its items, a type that exact type (so a
+# bool is not an int), a function a named rule, and anything else itself.
+RESULT_SCHEMAS: dict[str, dict] = {
+    "sumset": {
+        "set": str,
+        "h": _natural,
+        "bound": _natural,
+        "popcount": _natural,
+        "full_coverage": bool,
+        "members": [_natural],
+        "members_truncated": bool,
+        "gaps": [_natural],
+        "gaps_truncated": bool,
+        "limit": _NAT_OR_NULL,
+    },
+    "order": {
+        "set": str,
+        "bound": _natural,
+        "h_max": _natural,
+        "upper": _NAT_OR_NULL,
+        "lower": _natural,
+        "witness": _NAT_OR_NULL,
+        "witness_fold": _NAT_OR_NULL,
+        "certified_lower": bool,
+        "zero_in_set": bool,
+        "coverage_label": str,
+        "scan": [{"h": _natural, "covered": bool, "first_gap": _NAT_OR_NULL}],
+    },
+    "density": {
+        "set": str,
+        "t": _natural,
+        "subseq": str,
+        "start": _natural,
+        "terms": _natural,
+        "rows": [_DENSITY_ROW],
+        "min_ratio": _reduced_ratio,
+        "max_ratio": _reduced_ratio,
+    },
+    "stability": {
+        "set": str,
+        "added": [_natural],
+        "h": _natural,
+        "probe_fold": _natural,
+        "family": str,
+        "start": _natural,
+        "terms": _natural,
+        "bound": _natural,
+        "verdicts": [{"k": _natural, "n": _natural, "in_sumset": bool}],
+        "survivors": [_natural],
+        "conclusion": str,
+    },
+    "probe": {
+        "set": str,
+        "h": _natural,
+        "subseq": str,
+        "start": _natural,
+        "terms": _natural,
+        "h2_fold": _natural,
+        "h1_fold": _natural,
+        "h2_rows": [_DENSITY_ROW],
+        "h1_rows": [_DENSITY_ROW],
+        "h2_ratio_trending_to_zero": bool,
+        "h2_tail_max": _reduced_ratio,
+        "h2_tail_max_decimal": str,
+        "h1_ratio_max": _reduced_ratio,
+        "h1_ratio_max_decimal": str,
+        "h1_strictly_below_one": bool,
+        "note": str,
+    },
+    "verify-counterexample": {
+        "claims": [{"name": str, "status": ("PASS", "FAIL"), "detail": dict}],
+        "overall": ("PASS", "FAIL"),
+    },
+}
+
+# the whole report of each command: envelope and that command's result
+_REPORT_SHAPES = {
+    command: {
+        "schema_version": SCHEMA_VERSION,
+        "command": command,
+        "inputs": dict,
+        "result": result,
+        "timing_ms": _nonnegative_number,
+    }
+    for command, result in RESULT_SCHEMAS.items()
+}
+
+
+class ReportError(Exception):
+    """A report that breaks its command's shape: a fault of ours, never of the input."""
+
+
+def _rule(shape: Any) -> str:
+    if isinstance(shape, tuple):
+        return " or ".join(map(_rule, shape))
+    name = getattr(shape, "__name__", None)
+    return repr(shape) if name is None else name.strip("_").replace("_", " ")
+
+
+def _mismatch(value: Any, shape: Any, path: str) -> str | None:
+    """The first place where ``value`` breaks ``shape``, as ``path: rule``, or None."""
+    if isinstance(shape, dict):
+        if type(value) is not dict:
+            return f"{path}: {value!r} is not an object"
+        for key, item in value.items():
+            if key not in shape:
+                return f"{path}: unexpected key {key!r}"
+            found = _mismatch(item, shape[key], f"{path}.{key}")
+            if found:
+                return found
+        missing = sorted(shape.keys() - value.keys())
+        return f"{path}: missing key {missing[0]!r}" if missing else None
+    if isinstance(shape, list):
+        if type(value) is not list:
+            return f"{path}: {value!r} is not an array"
+        for i, item in enumerate(value):
+            found = _mismatch(item, shape[0], f"{path}[{i}]")
+            if found:
+                return found
+        return None
+    if isinstance(shape, tuple):
+        ok = any(_mismatch(value, option, path) is None for option in shape)
+    elif isinstance(shape, type):
+        ok = type(value) is shape
+    elif callable(shape):
+        ok = shape(value)
+    else:
+        ok = value == shape
+    return None if ok else f"{path}: {value!r} is not {_rule(shape)}"
 
 
 def validate_report(report: dict[str, Any]) -> None:
-    """Raise jsonschema.ValidationError if the report violates its schema."""
+    """Raise ReportError at the first place where the report breaks its shape."""
     command = report.get("command")
-    if not isinstance(command, str) or command not in RESULT_SCHEMAS:
-        raise jsonschema.ValidationError(f"unknown command {command!r}")
-    _validator(command).validate(report)
+    shape = _REPORT_SHAPES.get(command) if isinstance(command, str) else None
+    if shape is None:
+        raise ReportError(f"report.command: unknown command {command!r}")
+    found = _mismatch(report, shape, "report")
+    if found:
+        raise ReportError(found)
 
 
 def _csv_text(header: list[str], rows: Iterable[list[Any]]) -> str:

@@ -5,12 +5,16 @@ import io
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from pathlib import Path
 
 import jsonschema
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from addbasis.cli import MAX_TERMS, main, nat_arg
-from addbasis.report import RESULT_SCHEMAS, jsonable, validate_report
+from addbasis.report import RESULT_SCHEMAS, ReportError, jsonable, validate_report
+from reference import report_json_schema, report_validator
 
 
 def run_cli(capsys, *argv):
@@ -280,6 +284,7 @@ class TestExitCodes:
         assert code == 3
         assert out == ""
         assert "self-validation" in err
+        assert "report.result.upper: 'four'" in err
 
 
 class TestParserReuse:
@@ -319,6 +324,44 @@ class TestParserReuse:
         assert codes == ([0] * 6 + [2]) * 2 + [0] * 6
 
 
+GOLDEN = Path(__file__).resolve().parent / "golden"
+# the JSON goldens, with the masked timing put back as a number
+GOLDEN_REPORTS = {
+    path.name: {**json.loads(path.read_text()), "timing_ms": 1.5}
+    for path in sorted(GOLDEN.glob("*.json"))
+}
+VALIDATORS = {command: report_validator(command) for command in RESULT_SCHEMAS}
+
+# replacement leaves: every JSON type, the report's own consts and enums, and
+# ratios that are malformed, unreduced or newline-terminated
+LEAVES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(min_value=-3, max_value=2**70),
+    st.floats(allow_nan=False),
+    st.sampled_from(["", "1", "PASS", "FAIL", "order", "density", "1/2", "2/4", "3/1", "0/5",
+                     "1/2\n", "01", "1/0", "-1/2", "0.5", "9/10"]),
+    st.text(max_size=3),
+    st.lists(st.integers(min_value=-1, max_value=3), max_size=2),
+    st.dictionaries(st.sampled_from(["k", "n", "extra"]), st.integers(0, 3), max_size=2),
+)
+KEYS = st.sampled_from(["extra", "k", "ratio", "upper", "detail", "timing_ms"]) | st.text(max_size=3)
+
+
+def _paths(value, path=()):
+    """The path to every node under ``value``: objects, arrays and leaves."""
+    yield path
+    items = value.items() if isinstance(value, dict) else enumerate(value) if isinstance(value, list) else ()
+    for key, item in items:
+        yield from _paths(item, path + (key,))
+
+
+def _at(value, path):
+    for key in path:
+        value = value[key]
+    return value
+
+
 class TestReportSchema:
     @pytest.fixture
     def density_report(self, capsys):
@@ -327,25 +370,28 @@ class TestReportSchema:
         )
 
     def test_schemas_are_valid(self):
-        from addbasis.report import report_schema
-
+        # every shape, rendered as JSON Schema by the tests' own helper
         for command in RESULT_SCHEMAS:
-            schema = report_schema(command)
-            jsonschema.validators.validator_for(schema).check_schema(schema)
+            jsonschema.Draft202012Validator.check_schema(report_json_schema(command))
+
+    def test_report_error_is_ours(self):
+        # main maps ValueError from a handler to exit 2, the caller's fault;
+        # a report that breaks its shape is a fault of ours
+        assert not issubclass(ReportError, ValueError)
 
     def test_unknown_command(self, density_report):
         density_report["command"] = "plot"
-        with pytest.raises(jsonschema.ValidationError):
+        with pytest.raises(ReportError, match="report.command: unknown command 'plot'"):
             validate_report(density_report)
 
     def test_result_of_another_command(self, density_report):
         density_report["command"] = "order"
-        with pytest.raises(jsonschema.ValidationError):
+        with pytest.raises(ReportError, match="report.result: unexpected key 'max_ratio'"):
             validate_report(density_report)
 
     def test_extra_result_key(self, density_report):
         density_report["result"]["extra"] = 1
-        with pytest.raises(jsonschema.ValidationError):
+        with pytest.raises(ReportError, match="report.result: unexpected key 'extra'"):
             validate_report(density_report)
 
     def test_malformed_ratio(self, density_report):
@@ -353,8 +399,44 @@ class TestReportSchema:
         for bad in ("2/4x", "1/0", "-1/2", "0.5", "", "1/2\n", "2/4", "3/1", "0/5"):
             report = copy.deepcopy(density_report)
             report["result"]["rows"][0]["ratio"] = bad
-            with pytest.raises(jsonschema.ValidationError):
+            with pytest.raises(ReportError, match=r"report\.result\.rows\[0\]\.ratio: .* is not reduced ratio"):
                 validate_report(report)
+
+    def test_goldens_pass_both(self):
+        for report in GOLDEN_REPORTS.values():
+            validate_report(report)
+            VALIDATORS[report["command"]].validate(report)
+
+    @settings(max_examples=400)
+    @given(data=st.data())
+    def test_agrees_with_jsonschema(self, data):
+        # one mutation of a golden report: a node replaced by a leaf, a key
+        # added or a key removed; both validators must give the same verdict
+        name = data.draw(st.sampled_from(sorted(GOLDEN_REPORTS)))
+        report = copy.deepcopy(GOLDEN_REPORTS[name])
+        command = report["command"]
+        kind = data.draw(st.sampled_from(["replace", "add", "remove"]))
+        paths = list(_paths(report))
+        new = None
+        if kind == "replace":
+            path = data.draw(st.sampled_from(paths[1:]))
+            new = _at(report, path[:-1])[path[-1]] = data.draw(LEAVES)
+        else:
+            objects = [_at(report, p) for p in paths if isinstance(_at(report, p), dict)]
+            obj = data.draw(st.sampled_from([o for o in objects if o or kind == "add"]))
+            if kind == "add":
+                new = obj[data.draw(KEYS)] = data.draw(LEAVES)
+            else:
+                del obj[data.draw(st.sampled_from(sorted(obj)))]
+        try:
+            validate_report(report)
+            ours = True
+        except ReportError:
+            ours = False
+        theirs = VALIDATORS[command].is_valid(report)
+        # jsonschema takes an integral float such as 0.0 for an integer
+        integral = type(new) is float and new.is_integer()
+        assert ours == theirs or (integral and theirs and not ours), (kind, new)
 
 
 @dataclass(frozen=True)

@@ -9,12 +9,16 @@ blocks run here too, checked against what their comments state.
 """
 
 import ast
+import os
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import addbasis
 from addbasis.cli import main
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -102,6 +106,36 @@ def test_goldens_survive_parser_reuse(capsys):
             assert main(shlex.split(argv)) == want_code, argv
             out = capsys.readouterr().out
             assert out.startswith(want_start) and bool(out) == bool(want_start), argv
+
+
+# one README line per command; each runs in a fresh process whose import of
+# jsonschema fails, so the package must not need it at runtime
+WITHOUT_JSONSCHEMA = (
+    "order-squares.json",
+    "sumset-counterexample.json",
+    "density-counterexample.csv",
+    "stability-counterexample.json",
+    "probe-squares.json",
+    "verify-counterexample.json",
+)
+BLOCKED_RUN = (
+    "import sys; sys.modules['jsonschema'] = None; "
+    "from addbasis.cli import main; sys.exit(main(sys.argv[1:]))"
+)
+
+
+@pytest.mark.parametrize("name", WITHOUT_JSONSCHEMA)
+def test_runs_without_jsonschema(name, capsys):
+    argv = shlex.split(CASES[name][0])
+    src = str(Path(addbasis.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-c", BLOCKED_RUN, *argv], env=env, capture_output=True, text=True, timeout=120
+    )
+    code = main(argv)
+    out = capsys.readouterr().out
+    assert proc.returncode == code, proc.stderr
+    assert TIMING.sub(MASK, proc.stdout) == TIMING.sub(MASK, out)
 
 
 def readme_python_values() -> tuple[dict, list]:
