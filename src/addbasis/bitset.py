@@ -1,17 +1,21 @@
-"""Dense bit-vector prefixes of subsets of the naturals.
+"""Exact prefixes of subsets of the naturals, held as runs or as a mask.
 
-A :class:`PrefixBitset` pins down a set intersected with ``[0, N]`` exactly:
-bit ``i`` is set iff ``i`` belongs to the set, for every ``i <= N``.  The bit
-vector is a single Python integer, so shifts, ORs and popcounts run in C.
-Every Python-int shift or OR allocates a new integer the size of the mask,
-so the shift-OR sumset kernel ORs large masks in place in a numpy word array
-instead (``sumset.pair_sumset``).
+A :class:`PrefixBitset` pins down a set intersected with ``[0, N]`` exactly.
+While a sumset chain folds on interval runs its prefixes keep those runs and
+answer every query from them, at a cost set by the run count; a mask, bit
+``i`` set iff ``i`` belongs to the set, is built only when a shift-OR fold
+needs one.  The mask is a single Python integer, so shifts, ORs and
+popcounts run in C.  Every Python-int shift or OR allocates a new integer
+the size of the mask, so the shift-OR sumset kernel ORs large masks in place
+in a numpy word array instead (``sumset.pair_sumset``).
 """
 
 from __future__ import annotations
 
 import re
-from typing import Iterable, Iterator
+from bisect import bisect_left, bisect_right
+from itertools import chain
+from typing import Iterator, Sequence
 
 # Set-bit offsets per byte value, for streaming members out of a large mask.
 # Peeling bits off the integer directly would copy the whole mask per bit.
@@ -26,13 +30,14 @@ def full_mask(bound: int) -> int:
     return (1 << (bound + 1)) - 1
 
 
-def runs_mask(runs: Iterable[tuple[int, int]], bound: int) -> int:
+def runs_mask(runs: Sequence[tuple[int, int]], bound: int) -> int:
     """Mask of the disjoint sorted runs ``(lo, hi)``, all within ``[0, bound]``.
 
-    Fills a byte buffer and converts it once: O(bound/8 + runs), where ORing
-    one big integer per run would copy the whole mask per run.
+    Fills a byte buffer up to the last run and converts it once: O(hi/8 +
+    runs) for the last run's ``hi``, where ORing one big integer per run
+    would copy the whole mask per run.
     """
-    buf = bytearray(bound // 8 + 1)
+    buf = bytearray(runs[-1][1] // 8 + 1 if runs else 0)
     for lo, hi in runs:
         a, b = lo >> 3, hi >> 3
         if a == b:
@@ -65,12 +70,19 @@ def iter_bits(mask: int) -> Iterator[int]:
 class PrefixBitset:
     """Exact membership of a set restricted to ``[0, bound]``.
 
-    Immutable after construction; safe to share between readers.  Point
-    queries go through a lazily built bytes view so ``n in bits`` is O(1)
-    instead of shifting the whole mask.
+    Held either as normalized runs (``from_runs``) or as a mask
+    (``PrefixBitset(bound, mask)``); the methods answer the same on both.  On
+    runs the queries (``in``, ``count_range``, ``first_gap``, ``gaps``,
+    ``members``, ``is_full``, ``popcount``) bisect the run starts and read
+    prefix sums of the run widths, so their cost is set by the run count, not
+    by the bound.  ``.mask`` is built from the runs only when first read (by
+    ``pair_sumset``, ``restrict`` or ``complement_mask``), then cached.  On a
+    mask, point queries go through a lazily built bytes view so ``n in bits``
+    is O(1) instead of shifting the whole mask.  Immutable after
+    construction; safe to share between readers.
     """
 
-    __slots__ = ("bound", "mask", "_buf")
+    __slots__ = ("bound", "_mask", "_runs", "_starts", "_below", "_buf")
 
     def __init__(self, bound: int, mask: int):
         if bound < 0:
@@ -78,8 +90,43 @@ class PrefixBitset:
         if mask < 0 or mask >> (bound + 1):
             raise ValueError("mask has bits above the stated bound")
         self.bound = bound
-        self.mask = mask
+        self._mask: int | None = mask
+        self._runs: list[tuple[int, int]] | None = None
         self._buf: bytes | None = None
+
+    @classmethod
+    def from_runs(cls, bound: int, runs: list[tuple[int, int]]) -> "PrefixBitset":
+        """The set of the runs ``(lo, hi)``, which must be sorted, disjoint,
+        not touching and within ``[0, bound]``; checked in O(runs).  The list
+        is kept, not copied, so the caller must not change it."""
+        if bound < 0:
+            raise ValueError(f"bound must be >= 0, got {bound}")
+        self = cls.__new__(cls)
+        self.bound = bound
+        self._mask = None
+        self._runs = runs
+        self._buf = None
+        # run i starts at _starts[i]; _below[i] members lie in runs before it
+        self._starts = starts = []
+        self._below = below = [0]
+        end = -2  # a first run may start at 0
+        for lo, hi in runs:
+            if lo <= end + 1 or hi < lo or hi > bound:
+                raise ValueError(
+                    f"runs must be sorted, apart and within [0, {bound}]; got ({lo}, {hi})"
+                )
+            starts.append(lo)
+            below.append(below[-1] + hi - lo + 1)
+            end = hi
+        return self
+
+    @property
+    def mask(self) -> int:
+        """The bit vector; built from the runs on first read, then cached."""
+        mask = self._mask
+        if mask is None:
+            mask = self._mask = runs_mask(self._runs, self.bound)
+        return mask
 
     def _bytes(self) -> bytes:
         buf = self._buf
@@ -88,19 +135,34 @@ class PrefixBitset:
             self._buf = buf
         return buf
 
+    def _rank(self, i: int) -> int:
+        """Members below ``i``, from the runs."""
+        j = bisect_left(self._starts, i)
+        if j == 0:
+            return 0
+        lo, hi = self._runs[j - 1]
+        return self._below[j - 1] + min(hi, i - 1) - lo + 1
+
     def __contains__(self, i: int) -> bool:
         if i < 0 or i > self.bound:
             return False
+        if self._runs is not None:
+            j = bisect_right(self._starts, i)
+            return j > 0 and i <= self._runs[j - 1][1]
         buf = self._bytes()
         return bool((buf[i >> 3] >> (i & 7)) & 1)
 
     def members(self) -> Iterator[int]:
+        if self._runs is not None:
+            return chain.from_iterable(range(lo, hi + 1) for lo, hi in self._runs)
         return iter_bits(self.mask)
 
     def to_list(self) -> list[int]:
-        return list(iter_bits(self.mask))
+        return list(self.members())
 
     def popcount(self) -> int:
+        if self._runs is not None:
+            return self._below[-1]
         return self.mask.bit_count()
 
     def count_range(self, lo: int, hi: int) -> int:
@@ -110,6 +172,8 @@ class PrefixBitset:
         lo = max(lo, 0)
         if lo > hi:
             return 0
+        if self._runs is not None:
+            return self._rank(hi + 1) - self._rank(lo)
         return ((self.mask >> lo) & full_mask(hi - lo)).bit_count()
 
     def restrict(self, bound: int) -> "PrefixBitset":
@@ -119,6 +183,8 @@ class PrefixBitset:
         return PrefixBitset(bound, self.mask & full_mask(bound))
 
     def is_full(self) -> bool:
+        if self._runs is not None:
+            return self._runs == [(0, self.bound)]
         return self.mask == full_mask(self.bound)
 
     def complement_mask(self) -> int:
@@ -127,21 +193,32 @@ class PrefixBitset:
 
     def gaps(self) -> Iterator[int]:
         """Non-members in ``[0, bound]``, ascending; the counterpart of ``members``."""
+        runs = self._runs
+        if runs is not None:
+            # each gap lies between one run's end and the next run's start
+            edges = [-1, *chain.from_iterable(runs), self.bound + 1]
+            return chain.from_iterable(
+                range(end + 1, start) for end, start in zip(edges[0::2], edges[1::2])
+            )
         return iter_bits(self.complement_mask())
 
     def first_gap(self) -> int | None:
         """Smallest non-member in ``[0, bound]``, or None if full."""
-        # m ^ (m + 1) sets exactly the bits up to the lowest zero of m
-        m = self.mask
-        gap = (m ^ (m + 1)).bit_length() - 1
+        runs = self._runs
+        if runs is not None:
+            gap = runs[0][1] + 1 if runs and runs[0][0] == 0 else 0
+        else:
+            # m ^ (m + 1) sets exactly the bits up to the lowest zero of m
+            m = self.mask
+            gap = (m ^ (m + 1)).bit_length() - 1
         return gap if gap <= self.bound else None
 
     def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, PrefixBitset)
-            and self.bound == other.bound
-            and self.mask == other.mask
-        )
+        if not isinstance(other, PrefixBitset) or self.bound != other.bound:
+            return False
+        if self._runs is not None and other._runs is not None:
+            return self._runs == other._runs
+        return self.mask == other.mask
 
     def __repr__(self) -> str:
         n = self.popcount()

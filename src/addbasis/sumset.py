@@ -62,7 +62,7 @@ def pair_sumset(p: PrefixBitset, q: PrefixBitset, bound: int) -> PrefixBitset:
     numpy array, one byte slice per member, split by accumulator region into
     ranges that each fold on their own CPU, if this process may use that
     many, and share nothing they write (``_shift_or_words``); smaller ones
-    are ORed as Python ints.
+    are ORed as Python ints.  A run-backed operand's mask is built here.
     """
     if p.bound != bound or q.bound != bound:
         raise ValueError(
@@ -258,9 +258,11 @@ def sumset_folds(expr: SetExpr, bound: int) -> Iterator[PrefixBitset]:
     Fold h adds A to the (h-1)-fold sumset, starting from ``{0}``, in two
     phases over one walk of A's runs.  Folds run on interval runs while
     ``max(|R|, |A runs|)·|A runs|`` run pairs, at ``RUN_PAIR_WORDS`` each,
-    cost at most what shift-OR costs per fold, ``|A|`` shifts x words.  Past
-    that, A's mask is built from the same runs, and this and every later fold
-    run through ``pair_sumset``.  Leaving runs is final and fold 1 is A itself
+    cost at most what shift-OR costs per fold, ``|A|`` shifts x words.  These
+    folds are yielded as run-backed prefixes, so a chain that stays on runs
+    builds no mask at all.  Past that, A's mask is built once from the same
+    runs, ``pair_sumset`` builds the last run fold's mask, and this and every
+    later fold run through it.  Leaving runs is final and fold 1 is A itself
     on either kernel, so the max makes fold 1 count as fold 2, the first that
     does work.  Both kernels are exact; the choice changes only the cost.
     """
@@ -268,11 +270,11 @@ def sumset_folds(expr: SetExpr, bound: int) -> Iterator[PrefixBitset]:
     base_runs = expr_runs(expr, bound)
     shift_or_words = sum(hi - lo + 1 for lo, hi in base_runs) * (bound // 64 + 1)
     runs = [(0, 0)]
-    bits = PrefixBitset(bound, 1)
+    bits = PrefixBitset.from_runs(bound, runs)
     yield bits
     while max(len(runs), len(base_runs)) * len(base_runs) * RUN_PAIR_WORDS <= shift_or_words:
         runs = run_sumset(runs, base_runs, bound)
-        bits = PrefixBitset(bound, runs_mask(runs, bound))
+        bits = PrefixBitset.from_runs(bound, runs)
         yield bits
     base = PrefixBitset(bound, runs_mask(base_runs, bound))
     while True:

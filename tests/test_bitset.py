@@ -1,10 +1,10 @@
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
-from addbasis import PrefixBitset, full_mask, iter_bits
+from addbasis import Explicit, PrefixBitset, expr_runs, full_mask, iter_bits, materialize
 from addbasis.bitset import runs_mask
 
 
@@ -113,3 +113,77 @@ def test_equality_and_hash():
     c = PrefixBitset(10, 0b1010)
     assert a == b
     assert a != c
+
+
+def outcome(fn, *args):
+    """What a call returns, or the type and text of the ValueError it raises."""
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return ValueError, str(exc)
+
+
+@st.composite
+def prefix_cases(draw):
+    bound = draw(st.integers(0, 200))
+    members = draw(st.sets(st.integers(0, bound)))
+    queries = st.integers(-2, bound + 2)
+    return bound, members, draw(queries), draw(queries), draw(queries)
+
+
+@given(prefix_cases())
+@example((10, set(), 0, 10, 3))  # no runs
+@example((10, {0, 1, 2, 7}, 0, 11, 0))  # a run at 0; hi above the bound
+@example((10, {3, 8, 9, 10}, 5, 2, 11))  # a run ending at the bound; lo > hi
+@example((0, {0}, 0, 0, 0))  # bound 0
+@example((0, set(), -1, 0, -1))  # empty at bound 0; negative queries
+def test_run_backed_matches_mask(case):
+    bound, members, lo, hi, cut = case
+    expr = Explicit(tuple(members))
+    masked = materialize(expr, bound)
+    runs = PrefixBitset.from_runs(bound, expr_runs(expr, bound))
+    for i in range(-2, bound + 3):
+        assert (i in runs) == (i in masked), i
+    for name, args in (
+        ("count_range", (lo, hi)),
+        ("count_range", (0, hi)),
+        ("count_range", (hi, lo)),
+        ("first_gap", ()),
+        ("is_full", ()),
+        ("popcount", ()),
+        ("to_list", ()),
+        ("complement_mask", ()),
+    ):
+        assert outcome(getattr(runs, name), *args) == outcome(getattr(masked, name), *args), name
+    assert list(runs.gaps()) == list(masked.gaps())
+    assert list(runs.members()) == list(masked.members()) == sorted(members)
+    kept, kept_mask = outcome(runs.restrict, cut), outcome(masked.restrict, cut)
+    assert kept == kept_mask
+    if isinstance(kept, PrefixBitset):
+        assert kept.to_list() == kept_mask.to_list() == sorted(m for m in members if m <= cut)
+    assert runs == masked and masked == runs
+    assert runs != PrefixBitset.from_runs(bound + 1, expr_runs(expr, bound))
+    assert runs.mask == masked.mask
+
+
+@pytest.mark.parametrize(
+    "runs",
+    [
+        [(3, 5), (0, 1)],  # unsorted
+        [(0, 1), (2, 4)],  # touching
+        [(0, 3), (2, 4)],  # overlapping
+        [(4, 3)],  # empty run
+        [(-1, 2)],  # below 0
+        [(0, 1), (5, 11)],  # above the bound
+    ],
+)
+def test_from_runs_refuses_bad_runs(runs):
+    with pytest.raises(ValueError):
+        PrefixBitset.from_runs(10, runs)
+
+
+def test_from_runs_accepts_edges():
+    assert PrefixBitset.from_runs(10, [(0, 0), (2, 10)]).to_list() == [0, *range(2, 11)]
+    assert PrefixBitset.from_runs(0, []).first_gap() == 0
+    with pytest.raises(ValueError):
+        PrefixBitset.from_runs(-1, [])

@@ -19,6 +19,7 @@ from addbasis import (
     Interval,
     Powers,
     PrefixBitset,
+    Union,
     expr_runs,
     full_mask,
     iterate_sumset,
@@ -27,6 +28,7 @@ from addbasis import (
     representation_count,
     run_sumset,
 )
+from addbasis import bitset as bitset_module
 from addbasis import setexpr as setexpr_module
 from addbasis import sumset as sumset_module
 from addbasis.order import order_bounds
@@ -36,6 +38,7 @@ from addbasis.sumset import (
     SHIFT_OR_RANGE_WORDS,
     sumset_folds,
 )
+from addbasis.verify import verify_counterexample
 from reference import contains
 from strategies import set_exprs
 
@@ -478,25 +481,35 @@ class TestKernelSelection:
         assert got.to_list() == [0, 3, 6, 9, 12]
 
 
+# every module that binds runs_mask: masks are built in the chain and lazily
+# by a run-backed prefix whose .mask is read
+MASK_BINDINGS = (bitset_module, setexpr_module, sumset_module)
+
+
 @pytest.fixture
 def walks(monkeypatch):
-    """Counts walks of A's runs and masks built from runs, through both the
-    setexpr and the sumset bindings."""
-    calls = {"expr_runs": 0, "runs_mask": 0}
-    for name in calls:
-        fn = getattr(sumset_module, name)
+    """Counts walks of A's runs through both the setexpr and the sumset
+    bindings, and lists the runs of every mask built from runs."""
+    calls = {"expr_runs": 0, "masked": []}
 
-        def wrapper(*args, name=name, fn=fn):
-            calls[name] += 1
-            return fn(*args)
+    def expr_runs_counted(*args, fn=expr_runs):
+        calls["expr_runs"] += 1
+        return fn(*args)
 
-        for module in (setexpr_module, sumset_module):
-            monkeypatch.setattr(module, name, wrapper)
+    def runs_mask_listed(runs, bound, fn=bitset_module.runs_mask):
+        calls["masked"].append(list(runs))
+        return fn(runs, bound)
+
+    for module in (setexpr_module, sumset_module):
+        monkeypatch.setattr(module, "expr_runs", expr_runs_counted)
+    for module in MASK_BINDINGS:
+        monkeypatch.setattr(module, "runs_mask", runs_mask_listed)
     return calls
 
 
 class TestFoldChain:
-    """One walk of A per chain; A's mask only once the chain leaves runs."""
+    """One walk of A per chain; no mask while the chain stays on runs, and
+    only A's and the current fold's once it leaves them."""
 
     def test_run_chain_walks_a_once(self, walks, kernel_calls):
         folds = list(islice(sumset_folds(COUNTEREXAMPLE, 210_000), 4))
@@ -504,13 +517,52 @@ class TestFoldChain:
         assert kernel_calls == {"runs": 3, "shift-or": 0}
         assert tuple(folds[2].gaps()) == (21, 201, 2001, 20001, 200001)
         assert folds[3].is_full()
+        # the consumers' queries all answer from the runs
+        answers = [
+            (f.first_gap(), f.count_range(1, 210_000), 2001 in f, f.popcount(), next(f.members()))
+            for f in folds
+        ]
+        assert answers == [
+            (1, 0, False, 1, 0),
+            (11, 98_885, False, 98_886, 0),
+            (21, 209_995, False, 209_996, 0),
+            (None, 210_000, True, 210_001, 0),
+        ]
+        assert walks["masked"] == []
 
     def test_shift_or_chain_builds_a_mask_once(self, walks, kernel_calls):
         points = (0, 1, 7, 30, 31, 90, 400, 401, 1000, 2500, 7000, 9999)
         folds = list(islice(sumset_folds(Explicit(points), 20_000), 4))
-        assert walks == {"expr_runs": 1, "runs_mask": 1}
+        assert walks["expr_runs"] == 1
         assert kernel_calls == {"runs": 0, "shift-or": 3}
         assert folds[1].to_list() == list(points)
+        # A's mask, and the 0-fold {0}'s, which the first shift-OR fold reads
+        a_runs = expr_runs(Explicit(points), 20_000)
+        assert walks["masked"] == [a_runs, [(0, 0)]]
+
+    def test_chain_leaving_runs_builds_two_masks(self, walks, kernel_calls):
+        # four runs of width 20 at 20,000: folds 1 and 2 on runs, then 2A's
+        # ten runs make fold 3 cheaper on shift-OR
+        blocks = [Interval(lo, lo + 19) for lo in (0, 1000, 3000, 7000)]
+        expr = Union(Union(blocks[0], blocks[1]), Union(blocks[2], blocks[3]))
+        folds = list(islice(sumset_folds(expr, 20_000), 5))
+        assert kernel_calls == {"runs": 2, "shift-or": 2}
+        assert walks["expr_runs"] == 1
+        a_runs = expr_runs(expr, 20_000)
+        want = [[(0, 0)]]
+        for _ in range(4):
+            want.append(run_sumset(want[-1], a_runs, 20_000))
+        # A's mask, and fold 2's, which the first shift-OR fold reads
+        assert walks["masked"] == [a_runs, want[2]]
+        assert folds == [PrefixBitset.from_runs(20_000, runs) for runs in want]
+
+    def test_counterexample_verify_builds_no_mask(self, monkeypatch):
+        def refuse(runs, bound):
+            raise AssertionError(f"mask built from {len(runs)} runs at {bound}")
+
+        for module in MASK_BINDINGS:
+            monkeypatch.setattr(module, "runs_mask", refuse)
+        assert verify_counterexample(210_000).passed
 
     def test_run_chain_keeps_the_memory_guard(self, monkeypatch):
         monkeypatch.setenv("ADDBASIS_MAX_BOUND", "1000")
