@@ -13,6 +13,10 @@ Expression grammar (ASCII, whitespace-insensitive)::
              | "(" set ")"
     intlist := int ( "," int )*
 
+The parser reads the bracketed constructors from one table, ``_ATOMS``.
+Integers lie in ``[0, 2^64 - 1]``, parentheses nest at most ``MAX_NESTING``
+deep, and a union may have any number of terms.
+
 ``paperfamily(b,c,m,s)`` denotes the union of a head block ``[0, c]`` with
 geometrically growing blocks ``[m*b^(n-1)+s, b^n]`` for ``n >= 2``.  The
 ``counterexample`` alias is the instance whose three-fold sumset covers every
@@ -133,6 +137,7 @@ class Powers(SetExpr):
     def __post_init__(self):
         if self.exponent < 1:
             raise SemanticError(f"powers exponent must be >= 1, got {self.exponent}")
+        _check_naturals((self.exponent,), "powers exponent")
 
 
 @dataclass(frozen=True)
@@ -162,6 +167,7 @@ class BlockFamily(SetExpr):
                 "family requires mult*base + offset <= base**2, got "
                 f"{self.mult}*{self.base}+{self.offset} > {self.base}**2"
             )
+        _check_naturals((self.base, self.head_end, self.mult, self.offset), "family parameter")
 
 
 @dataclass(frozen=True)
@@ -207,22 +213,30 @@ def family_blocks(params: BlockFamily, upto: int) -> Iterator[tuple[int, int]]:
 # parsing
 
 
-_TOKEN_RE = re.compile(r"\s*(?:(?P<name>[a-z]+)|(?P<int>\d+)|(?P<punct>[][|+{}(),]))")
+_TOKEN_RE = re.compile(
+    r"\s*(?:(?P<name>[a-z]+)|(?P<int>\d+)|(?P<punct>[][|+{}(),])|(?P<bad>\S))"
+)
+# deepest parenthesized "(" set ")"; each level costs three parser frames
+MAX_NESTING = 100
+
+# constructor name -> (node type, opening bracket, integer count or None for
+# a possibly empty list passed as one tuple, closing bracket)
+_ATOMS = {
+    "explicit": (Explicit, "{", None, "}"),
+    "interval": (Interval, "[", 2, "]"),
+    "powers": (Powers, "(", 1, ")"),
+    "paperfamily": (BlockFamily, "(", 4, ")"),
+}
+_ALIASES = {"counterexample": COUNTEREXAMPLE, "squares": SQUARES, "cubes": CUBES}
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
     tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            stripped = text[pos:].lstrip()
-            if not stripped:
-                break
-            at = len(text) - len(stripped)
-            raise ParseError(f"unexpected character {stripped[0]!r}", at)
-        tokens.append((m.lastgroup, m.group(m.lastgroup), m.start(m.lastgroup)))
-        pos = m.end()
+    for m in _TOKEN_RE.finditer(text):
+        kind = m.lastgroup
+        if kind == "bad":
+            raise ParseError(f"unexpected character {m[kind]!r}", m.start(kind))
+        tokens.append((kind, m[kind], m.start(kind)))
     return tokens
 
 
@@ -231,15 +245,15 @@ class _Parser:
         self.text = text
         self.tokens = _tokenize(text)
         self.pos = 0
+        self.depth = 0
 
-    def _peek(self):
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
+    def _at(self, text: str) -> bool:
+        return self.pos < len(self.tokens) and self.tokens[self.pos][1] == text
 
     def _next(self, expect_kind: str | None = None, expect_text: str | None = None):
-        tok = self._peek()
-        if tok is None:
+        if self.pos == len(self.tokens):
             raise ParseError("unexpected end of input", len(self.text))
-        kind, text, offset = tok
+        tok = kind, text, offset = self.tokens[self.pos]
         if expect_kind is not None and kind != expect_kind:
             raise ParseError(f"expected {expect_kind}, found {text!r}", offset)
         if expect_text is not None and text != expect_text:
@@ -255,89 +269,69 @@ class _Parser:
 
     def parse(self) -> SetExpr:
         node = self._set()
-        tok = self._peek()
-        if tok is not None:
-            raise ParseError(f"unexpected trailing input {tok[1]!r}", tok[2])
+        if self.pos < len(self.tokens):
+            _, text, offset = self.tokens[self.pos]
+            raise ParseError(f"unexpected trailing input {text!r}", offset)
         return node
 
     def _set(self) -> SetExpr:
         node = self._term()
-        while (tok := self._peek()) is not None and tok[1] == "|":
+        while self._at("|"):
             self._next()
             node = Union(node, self._term())
         return node
 
     def _term(self) -> SetExpr:
         node = self._atom()
-        tok = self._peek()
-        if tok is not None and tok[1] == "+":
-            offset = tok[2]
-            self._next()
+        if self._at("+"):
+            offset = self._next()[2]
             self._next("punct", "{")
-            items = self._intlist()
+            items = self._ints()
             self._next("punct", "}")
-            node = self._build(offset, Augment, node, tuple(items))
+            node = self._build(offset, Augment, node, items)
         return node
 
-    def _intlist(self, allow_empty: bool = False) -> list[int]:
+    def _ints(self, count: int | None = None) -> tuple[int, ...]:
+        """``count`` comma-separated integers, or one or more if None."""
         items = []
-        tok = self._peek()
-        if allow_empty and tok is not None and tok[1] == "}":
-            return items
-        items.append(int(self._next("int")[1]))
-        while (tok := self._peek()) is not None and tok[1] == ",":
-            self._next()
-            items.append(int(self._next("int")[1]))
-        return items
-
-    def _int(self) -> int:
-        return int(self._next("int")[1])
+        while True:
+            _, text, offset = self._next("int")
+            if len(text) > 20:  # 2^64 - 1 has 20 digits
+                raise SemanticError(
+                    f"integer literal of {len(text)} digits exceeds the 64-bit natural range",
+                    offset,
+                )
+            items.append(int(text))
+            if len(items) == count or (count is None and not self._at(",")):
+                return tuple(items)
+            self._next("punct", ",")
 
     def _atom(self) -> SetExpr:
-        tok = self._peek()
-        if tok is None:
+        if self.pos == len(self.tokens):
             raise ParseError("expected a set expression", len(self.text))
-        kind, text, offset = tok
-        if kind == "punct" and text == "(":
-            self._next()
+        kind, text, offset = self._next()
+        if text == "(":
+            if self.depth == MAX_NESTING:
+                raise ParseError(f"parentheses nest deeper than {MAX_NESTING}", offset)
+            self.depth += 1
             node = self._set()
+            self.depth -= 1
             self._next("punct", ")")
             return node
         if kind != "name":
             raise ParseError(f"expected a set expression, found {text!r}", offset)
-        self._next()
-        if text == "explicit":
-            self._next("punct", "{")
-            items = self._intlist(allow_empty=True)
-            self._next("punct", "}")
-            return self._build(offset, Explicit, tuple(items))
-        if text == "interval":
-            self._next("punct", "[")
-            lo = self._int()
-            self._next("punct", ",")
-            hi = self._int()
-            self._next("punct", "]")
-            return self._build(offset, Interval, lo, hi)
-        if text == "powers":
-            self._next("punct", "(")
-            k = self._int()
-            self._next("punct", ")")
-            return self._build(offset, Powers, k)
-        if text == "paperfamily":
-            self._next("punct", "(")
-            params = [self._int()]
-            for _ in range(3):
-                self._next("punct", ",")
-                params.append(self._int())
-            self._next("punct", ")")
-            return self._build(offset, BlockFamily, *params)
-        if text == "counterexample":
-            return COUNTEREXAMPLE
-        if text == "squares":
-            return SQUARES
-        if text == "cubes":
-            return CUBES
-        raise ParseError(f"unknown set constructor {text!r}", offset)
+        if text in _ALIASES:
+            return _ALIASES[text]
+        if text not in _ATOMS:
+            raise ParseError(f"unknown set constructor {text!r}", offset)
+        ctor, opening, count, closing = _ATOMS[text]
+        self._next("punct", opening)
+        if count:
+            args = self._ints(count)
+        else:  # explicit's list, possibly empty, is one argument
+            args = (() if self._at(closing) else self._ints(),)
+        self._next("punct", closing)
+        return self._build(offset, ctor, *args)
 
 
 def parse_set_expr(text: str) -> SetExpr:
@@ -363,31 +357,36 @@ def merge_runs(runs: Iterable[tuple[int, int]]) -> list[tuple[int, int]]:
 
 
 def _clipped_runs(expr: SetExpr, bound: int) -> Iterator[tuple[int, int]]:
-    # runs of the set within [0, bound], unsorted and possibly overlapping
-    if isinstance(expr, Explicit):
-        yield from ((x, x) for x in expr.elements if x <= bound)
-    elif isinstance(expr, Interval):
-        if expr.lo <= bound:
-            yield expr.lo, min(expr.hi, bound)
-    elif isinstance(expr, Powers):
-        if expr.exponent == 1:
-            yield 0, bound
-            return
-        n = 0
-        while (v := n**expr.exponent) <= bound:
-            yield v, v
-            n += 1
-    elif isinstance(expr, BlockFamily):
-        for lo, hi in family_blocks(expr, bound):
-            yield lo, min(hi, bound)
-    elif isinstance(expr, Union):
-        yield from _clipped_runs(expr.left, bound)
-        yield from _clipped_runs(expr.right, bound)
-    elif isinstance(expr, Augment):
-        yield from _clipped_runs(expr.base, bound)
-        yield from ((x, x) for x in expr.extra if x <= bound)
-    else:
-        raise TypeError(f"not a SetExpr: {expr!r}")
+    # runs of the set within [0, bound], unsorted and possibly overlapping;
+    # the tree is walked with a stack, so a union of any length fits
+    stack = [expr]
+    while stack:
+        expr = stack.pop()
+        if isinstance(expr, Explicit):
+            yield from ((x, x) for x in expr.elements if x <= bound)
+        elif isinstance(expr, Interval):
+            if expr.lo <= bound:
+                yield expr.lo, min(expr.hi, bound)
+        elif isinstance(expr, Powers):
+            k = expr.exponent
+            if k == 1:
+                yield 0, bound
+                continue
+            # n^k >= 2^((bits(n)-1)*k) > bound: stop before raising n to a huge k
+            n = 0
+            while (n.bit_length() - 1) * k < bound.bit_length() and (v := n**k) <= bound:
+                yield v, v
+                n += 1
+        elif isinstance(expr, BlockFamily):
+            for lo, hi in family_blocks(expr, bound):
+                yield lo, min(hi, bound)
+        elif isinstance(expr, Union):
+            stack += expr.left, expr.right
+        elif isinstance(expr, Augment):
+            stack.append(expr.base)
+            yield from ((x, x) for x in expr.extra if x <= bound)
+        else:
+            raise TypeError(f"not a SetExpr: {expr!r}")
 
 
 def expr_runs(expr: SetExpr, bound: int) -> list[tuple[int, int]]:

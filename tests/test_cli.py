@@ -162,6 +162,17 @@ class TestExitCodes:
         code, _, err = run_cli(capsys, "sumset", "--set", "interval[5,2]", "--h", "2", "--bound", "10")
         assert code == 2
 
+    def test_deep_nesting(self, capsys):
+        text = "(" * 400 + "squares" + ")" * 400
+        code, out, err = run_cli(capsys, "sumset", "--set", text, "--h", "2", "--bound", "100")
+        assert (code, out) == (2, "")
+        assert err == "error: parentheses nest deeper than 100 (at offset 100)\n"
+
+    def test_long_union(self, capsys):
+        text = " | ".join(["squares"] * 5000)
+        report = run_json(capsys, "sumset", "--set", text, "--h", "2", "--bound", "100")
+        assert report["result"]["popcount"] == 44
+
     def test_ceiling_guard(self, capsys, monkeypatch):
         monkeypatch.setenv("ADDBASIS_MAX_BOUND", "100")
         code, _, err = run_cli(capsys, "order", "--set", "squares", "--bound", "200", "--hmax", "4")
