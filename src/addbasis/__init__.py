@@ -32,7 +32,6 @@ from .setexpr import (
     COUNTEREXAMPLE,
     CUBES,
     SQUARES,
-    Augment,
     BlockFamily,
     BoundCeilingError,
     Explicit,
@@ -59,7 +58,6 @@ from .verify import VerifyOutcome, verify_counterexample
 __version__ = "0.1.0"
 
 __all__ = [
-    "Augment",
     "BlockFamily",
     "BoundCeilingError",
     "COUNTEREXAMPLE",

@@ -86,12 +86,12 @@ class SubseqSpec:
         return f"{head}{body}{tail}"
 
 
-_SUBSEQ_RE = re.compile(r"^(?:(\d+)\*)?(?:(\d+)\^k|k)(?:([+-])(\d+))?$")
+_SUBSEQ_RE = re.compile(r"^(?:(\d+)\*)?(?:(\d+)\^k|k)(?:([+-])(\d+))?$", re.ASCII)
 
 
 def parse_subseq(text: str, start: int = 1, count: int = 1) -> SubseqSpec:
-    """Parse the mini-grammar ``a*b^k+c`` | ``a*k+c`` | ``b^k``."""
-    squeezed = re.sub(r"\s+", "", text)
+    """Parse the ASCII mini-grammar ``a*b^k+c`` | ``a*k+c`` | ``b^k``."""
+    squeezed = re.sub(r"\s+", "", text, flags=re.ASCII)
     m = _SUBSEQ_RE.match(squeezed)
     if m is None:
         raise SemanticError(f"cannot parse subsequence {text!r}")

@@ -47,12 +47,15 @@ def nat_arg(text: str) -> int:
 
 
 def intlist_arg(text: str) -> tuple[int, ...]:
+    """Comma-separated integers in ``[0, 2^64 - 1]``, in ASCII digits."""
     try:
+        if not text.isascii():  # int() reads every Unicode digit
+            raise ValueError
         items = tuple(int(part) for part in text.split(","))
     except ValueError:
         raise argparse.ArgumentTypeError(f"not a comma-separated int list: {text!r}") from None
-    if any(x < 0 for x in items):
-        raise argparse.ArgumentTypeError(f"elements must be nonnegative: {text!r}")
+    if any(not 0 <= x <= U64_MAX for x in items):
+        raise argparse.ArgumentTypeError(f"elements must lie in [0, 2^64-1]: {text!r}")
     return items
 
 

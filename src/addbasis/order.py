@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .analysis import SubseqSpec
-from .setexpr import Augment, Interval, SetExpr, Union
+from .setexpr import Explicit, Interval, SetExpr, Union
 from .sumset import (  # noqa: F401  pair_sumset: bench/test_oracles.py traces it here
     iterate_sumset,
     pair_sumset,
@@ -136,8 +136,9 @@ def stability_probe(
 ) -> StabilityReport:
     """Test which family terms stay outside ``(h-1)(A ∪ F)``.
 
-    Reads each verdict as membership in the (h-1)-fold of ``sumset_folds``
-    over ``A ∪ F``, then re-verifies every survivor with
+    ``A ∪ F`` is ``Union(A, Explicit(F))``, or A itself when F is empty.
+    Reads each verdict as membership in its (h-1)-fold from
+    ``sumset_folds``, then re-verifies every survivor with
     ``representation_count``.
     """
     if h < 2:
@@ -148,7 +149,7 @@ def stability_probe(
             f"family term {terms[-1][1]} exceeds the probe bound {bound}"
         )
     extra = tuple(sorted(set(extra)))
-    aug_expr: SetExpr = Augment(expr, extra) if extra else expr
+    aug_expr = Union(expr, Explicit(extra)) if extra else expr
     fold = iterate_sumset(aug_expr, h - 1, bound).bits
     verdicts = tuple(TermVerdict(k, n, n in fold) for k, n in terms)
     survivors = tuple(v.n for v in verdicts if not v.in_sumset)
@@ -208,10 +209,10 @@ def random_stability_sweep(
 
     F is a uniform sample of up to ``SWEEP_MAX_SIZE`` elements from
     ``[0, SWEEP_ELEMENT_CEILING]``, seeded for reproducibility.  Sumsets are
-    monotone in the set, so a term that survives the probe of A with that
-    whole interval added survives every such F: when that one probe keeps
-    every term, no run can fail and none is drawn.  Otherwise each drawn F
-    is probed.
+    monotone in the set, so a term that survives the probe of
+    ``Union(A, Interval(0, SWEEP_ELEMENT_CEILING))`` survives every such F:
+    when that one probe keeps every term, no run can fail and none is drawn.
+    Otherwise each drawn F is probed.
     """
     terms = tuple(n for _, n in family.indexed_terms())
     universal = Union(expr, Interval(0, SWEEP_ELEMENT_CEILING))

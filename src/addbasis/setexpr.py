@@ -3,7 +3,7 @@
 Expression grammar (ASCII, whitespace-insensitive)::
 
     set     := term ( "|" term )*                      union
-    term    := atom ( "+" "{" intlist "}" )?           finite augmentation
+    term    := atom ( "+" "{" intlist "}" )?           atom | explicit{intlist}
     atom    := "explicit" "{" intlist? "}"
              | "interval" "[" int "," int "]"
              | "powers" "(" int ")"
@@ -15,7 +15,10 @@ Expression grammar (ASCII, whitespace-insensitive)::
 
 The parser reads the bracketed constructors from one table, ``_ATOMS``.
 Integers lie in ``[0, 2^64 - 1]``, parentheses nest at most ``MAX_NESTING``
-deep, and a union may have any number of terms.
+deep, and a union may have any number of terms.  Every expression is one
+atom or one flat ``Union`` of atoms: ``Union`` splices in the terms of any
+union it is given, so a finite augmentation ``A ∪ F`` is
+``Union(A, Explicit(F))``.
 
 ``paperfamily(b,c,m,s)`` denotes the union of a head block ``[0, c]`` with
 geometrically growing blocks ``[m*b^(n-1)+s, b^n]`` for ``n >= 2``.  The
@@ -170,24 +173,23 @@ class BlockFamily(SetExpr):
         _check_naturals((self.base, self.head_end, self.mult, self.offset), "family parameter")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Union(SetExpr):
-    left: SetExpr
-    right: SetExpr
+    """The union of two or more atoms; a union among the terms is spliced
+    in, so no union holds another."""
 
+    terms: tuple[SetExpr, ...]
 
-@dataclass(frozen=True)
-class Augment(SetExpr):
-    """A set together with finitely many extra elements."""
-
-    base: SetExpr
-    extra: tuple[int, ...]
-
-    def __post_init__(self):
-        extra = _check_naturals(self.extra, "augmentation element")
-        if not extra:
-            raise SemanticError("augmentation requires at least one element")
-        object.__setattr__(self, "extra", extra)
+    def __init__(self, *terms: SetExpr):
+        flat: list[SetExpr] = []
+        for term in terms:
+            if isinstance(term, Union):
+                flat += term.terms
+            else:
+                flat.append(term)
+        if len(flat) < 2:
+            raise SemanticError(f"a union needs at least two terms, got {len(flat)}")
+        object.__setattr__(self, "terms", tuple(flat))
 
 
 COUNTEREXAMPLE = BlockFamily(10, 10, 2, 2)
@@ -214,7 +216,7 @@ def family_blocks(params: BlockFamily, upto: int) -> Iterator[tuple[int, int]]:
 
 
 _TOKEN_RE = re.compile(
-    r"\s*(?:(?P<name>[a-z]+)|(?P<int>\d+)|(?P<punct>[][|+{}(),])|(?P<bad>\S))"
+    r"\s*(?:(?P<name>[a-z]+)|(?P<int>\d+)|(?P<punct>[][|+{}(),])|(?P<bad>\S))", re.ASCII
 )
 # deepest parenthesized "(" set ")"; each level costs three parser frames
 MAX_NESTING = 100
@@ -275,11 +277,11 @@ class _Parser:
         return node
 
     def _set(self) -> SetExpr:
-        node = self._term()
+        terms = [self._term()]
         while self._at("|"):
             self._next()
-            node = Union(node, self._term())
-        return node
+            terms.append(self._term())
+        return Union(*terms) if len(terms) > 1 else terms[0]
 
     def _term(self) -> SetExpr:
         node = self._atom()
@@ -288,7 +290,7 @@ class _Parser:
             self._next("punct", "{")
             items = self._ints()
             self._next("punct", "}")
-            node = self._build(offset, Augment, node, items)
+            node = Union(node, self._build(offset, Explicit, items))
         return node
 
     def _ints(self, count: int | None = None) -> tuple[int, ...]:
@@ -358,17 +360,15 @@ def merge_runs(runs: Iterable[tuple[int, int]]) -> list[tuple[int, int]]:
 
 def _clipped_runs(expr: SetExpr, bound: int) -> Iterator[tuple[int, int]]:
     # runs of the set within [0, bound], unsorted and possibly overlapping;
-    # the tree is walked with a stack, so a union of any length fits
-    stack = [expr]
-    while stack:
-        expr = stack.pop()
-        if isinstance(expr, Explicit):
-            yield from ((x, x) for x in expr.elements if x <= bound)
-        elif isinstance(expr, Interval):
-            if expr.lo <= bound:
-                yield expr.lo, min(expr.hi, bound)
-        elif isinstance(expr, Powers):
-            k = expr.exponent
+    # a union's terms are all atoms, so one loop covers any expression
+    for atom in expr.terms if isinstance(expr, Union) else (expr,):
+        if isinstance(atom, Explicit):
+            yield from ((x, x) for x in atom.elements if x <= bound)
+        elif isinstance(atom, Interval):
+            if atom.lo <= bound:
+                yield atom.lo, min(atom.hi, bound)
+        elif isinstance(atom, Powers):
+            k = atom.exponent
             if k == 1:
                 yield 0, bound
                 continue
@@ -377,16 +377,11 @@ def _clipped_runs(expr: SetExpr, bound: int) -> Iterator[tuple[int, int]]:
             while (n.bit_length() - 1) * k < bound.bit_length() and (v := n**k) <= bound:
                 yield v, v
                 n += 1
-        elif isinstance(expr, BlockFamily):
-            for lo, hi in family_blocks(expr, bound):
+        elif isinstance(atom, BlockFamily):
+            for lo, hi in family_blocks(atom, bound):
                 yield lo, min(hi, bound)
-        elif isinstance(expr, Union):
-            stack += expr.left, expr.right
-        elif isinstance(expr, Augment):
-            stack.append(expr.base)
-            yield from ((x, x) for x in expr.extra if x <= bound)
         else:
-            raise TypeError(f"not a SetExpr: {expr!r}")
+            raise TypeError(f"not a SetExpr: {atom!r}")
 
 
 def expr_runs(expr: SetExpr, bound: int) -> list[tuple[int, int]]:

@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import jsonschema
 
-from addbasis import Augment, BlockFamily, Explicit, Interval, Powers, SetExpr, Union, report
+from addbasis import BlockFamily, Explicit, Interval, Powers, SetExpr, Union, report
 
 
 def _iroot(n: int, k: int) -> int:
@@ -52,9 +52,7 @@ def contains(expr: SetExpr, n: int) -> bool:
                 return True
             i += 1
     if isinstance(expr, Union):
-        return contains(expr.left, n) or contains(expr.right, n)
-    if isinstance(expr, Augment):
-        return n in expr.extra or contains(expr.base, n)
+        return any(contains(term, n) for term in expr.terms)
     raise TypeError(f"not a SetExpr: {expr!r}")
 
 
@@ -69,16 +67,7 @@ def to_text(expr: SetExpr) -> str:
     if isinstance(expr, BlockFamily):
         return f"paperfamily({expr.base},{expr.head_end},{expr.mult},{expr.offset})"
     if isinstance(expr, Union):
-        left = to_text(expr.left)
-        right = to_text(expr.right)
-        if isinstance(expr.right, Union):
-            right = f"({right})"  # keep right-nested unions from reassociating
-        return f"{left} | {right}"
-    if isinstance(expr, Augment):
-        base = to_text(expr.base)
-        if isinstance(expr.base, (Union, Augment)):
-            base = f"({base})"
-        return base + " + {" + ",".join(str(x) for x in expr.extra) + "}"
+        return " | ".join(to_text(term) for term in expr.terms)
     raise TypeError(f"not a SetExpr: {expr!r}")
 
 

@@ -2,7 +2,7 @@
 
 from hypothesis import strategies as st
 
-from addbasis import Augment, BlockFamily, Explicit, Interval, Powers, Union
+from addbasis import BlockFamily, Explicit, Interval, Powers, Union
 
 explicit_exprs = st.lists(st.integers(0, 300), max_size=20).map(
     lambda xs: Explicit(tuple(xs))
@@ -28,11 +28,6 @@ atoms = st.one_of(explicit_exprs, interval_exprs, powers_exprs, family_exprs())
 
 set_exprs = st.recursive(
     atoms,
-    lambda children: st.one_of(
-        st.tuples(children, children).map(lambda t: Union(*t)),
-        st.tuples(children, st.lists(st.integers(0, 300), min_size=1, max_size=6)).map(
-            lambda t: Augment(t[0], tuple(t[1]))
-        ),
-    ),
+    lambda children: st.lists(children, min_size=2, max_size=3).map(lambda t: Union(*t)),
     max_leaves=4,
 )

@@ -10,7 +10,6 @@ from fractions import Fraction
 
 from addbasis import (
     COUNTEREXAMPLE,
-    Augment,
     BlockFamily,
     Explicit,
     Interval,
@@ -208,7 +207,7 @@ def _random_expr(rng: random.Random):
     if kind == 4:
         return Union(_random_expr(rng), _random_expr(rng))
     size = rng.randint(1, 5)
-    return Augment(_random_expr(rng), tuple(rng.randint(0, 1500) for _ in range(size)))
+    return Union(_random_expr(rng), Explicit(tuple(rng.randint(0, 1500) for _ in range(size))))
 
 
 def _brute_fold(elements, h, bound):

@@ -63,6 +63,10 @@ class TestSubseq:
             parse_subseq("k^2")
         with pytest.raises(SemanticError):
             parse_subseq("2**k")
+        # \d and \s read only ASCII, as the grammar states
+        for text in ("١٠^k", "10^k\u00a0+1"):
+            with pytest.raises(SemanticError, match="cannot parse subsequence"):
+                parse_subseq(text)
 
     def test_round_trip_text(self):
         for text in ("2*10^k+1", "10^k", "k+2", "3*k", "2^k-1"):

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from addbasis.cli import MAX_TERMS, main, nat_arg
+from addbasis.cli import MAX_TERMS, intlist_arg, main, nat_arg
 from addbasis.report import RESULT_SCHEMAS, ReportError, jsonable, validate_report
 from reference import report_json_schema, report_validator
 
@@ -49,6 +49,13 @@ class TestBoundParsing:
             with pytest.raises(argparse.ArgumentTypeError):
                 nat_arg(text)
         assert nat_arg("18446744073709551615") == 2**64 - 1
+
+    def test_int_lists(self):
+        assert intlist_arg(" 1, 2 ,3\t") == (1, 2, 3)
+        assert intlist_arg("0,18446744073709551615") == (0, 2**64 - 1)
+        for text in ("18446744073709551616", "1,-1", "١٢", "1,٣", "1,,2", "1;2"):
+            with pytest.raises(argparse.ArgumentTypeError):
+                intlist_arg(text)
 
 
 class TestCommands:
@@ -216,6 +223,26 @@ class TestExitCodes:
             assert code == 2
             assert out == ""
             assert "unrecognized arguments: --plot-data" in err
+
+    def test_add_checked_by_argparse(self, capsys):
+        # past 2^64 - 1, or in non-ASCII digits, --add is a usage error
+        stability = ("stability", "--set", "counterexample", "--h", "3", "--subseq", "2*10^k+1",
+                     "--terms", "2", "--bound", "2100")
+        for add in ("18446744073709551616", "١٢", "3,١٢"):
+            code, out, err = run_cli(capsys, *stability, "--add", add)
+            assert (code, out) == (2, "")
+            assert "argument --add" in err
+        assert run_json(capsys, *stability, "--add", " 12 , 3")["result"]["added"] == [3, 12]
+
+    def test_non_ascii_digits(self, capsys):
+        for argv, message in (
+            (["sumset", "--set", "powers(٢)", "--h", "1", "--bound", "10"],
+             "unexpected character '٢' (at offset 7)"),
+            (["density", "--set", "squares", "--subseq", "١٠^k"], "cannot parse subsequence"),
+        ):
+            code, out, err = run_cli(capsys, *argv)
+            assert (code, out) == (2, "")
+            assert message in err
 
     def test_huge_subseq_start(self, capsys):
         code, out, err = run_cli(

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from addbasis import (
     COUNTEREXAMPLE,
-    Augment,
     BlockFamily,
     BoundCeilingError,
     Explicit,
@@ -36,7 +35,7 @@ class TestParse:
         assert parse_set_expr("explicit{0}") == Explicit((0,))
 
     def test_augmented_powers(self):
-        assert parse_set_expr("powers(2) + {3}") == Augment(Powers(2), (3,))
+        assert parse_set_expr("powers(2) + {3}") == Union(Powers(2), Explicit((3,)))
 
     def test_aliases(self):
         assert parse_set_expr("counterexample") == COUNTEREXAMPLE
@@ -46,10 +45,11 @@ class TestParse:
     def test_union_left_associates(self):
         got = parse_set_expr("squares | cubes | explicit{5}")
         assert got == Union(Union(Powers(2), Powers(3)), Explicit((5,)))
+        assert got.terms == (Powers(2), Powers(3), Explicit((5,)))
 
     def test_parenthesized_set(self):
         got = parse_set_expr("( squares | cubes ) + {7}")
-        assert got == Augment(Union(Powers(2), Powers(3)), (7,))
+        assert got.terms == (Powers(2), Powers(3), Explicit((7,)))
 
     def test_whitespace_insensitive(self):
         a = parse_set_expr(" interval [ 2 , 9 ] |  explicit { 1 , 4 } ")
@@ -89,6 +89,9 @@ class TestParse:
 
     @given(set_exprs)
     def test_round_trip(self, expr):
+        # set_exprs nests unions, and Union splices them into one
+        terms = expr.terms if isinstance(expr, Union) else ()
+        assert not any(isinstance(term, Union) for term in terms)
         assert parse_set_expr(to_text(expr)) == expr
 
     def test_right_nested_union_round_trips(self):
@@ -96,8 +99,9 @@ class TestParse:
         assert parse_set_expr(to_text(expr)) == expr
 
     def test_nested_augment_round_trips(self):
-        expr = Augment(Augment(Powers(2), (3,)), (5,))
+        expr = Union(Union(Powers(2), Explicit((3,))), Explicit((5,)))
         assert parse_set_expr(to_text(expr)) == expr
+        assert parse_set_expr("(powers(2) + {3}) + {5}") == expr
 
 
 # (text, error type, message, offset) for malformed inputs, as the parser
@@ -110,6 +114,7 @@ PARSE_ERRORS = [
     ("squares @", ParseError, "unexpected character '@'", 8),
     ("squares\t\n@", ParseError, "unexpected character '@'", 9),
     ("squares |  é", ParseError, "unexpected character 'é'", 11),
+    ("powers(٢) | explicit{١٢}", ParseError, "unexpected character '٢'", 7),
     ("Squares", ParseError, "unexpected character 'S'", 0),
     ("squares cubes", ParseError, "unexpected trailing input 'cubes'", 8),
     ("squares | squares )", ParseError, "unexpected trailing input ')'", 18),
@@ -201,7 +206,7 @@ PARSE_ERRORS = [
     (
         "(squares | cubes) + {18446744073709551616}",
         SemanticError,
-        "augmentation element exceeds the 64-bit natural range: 18446744073709551616",
+        "explicit element exceeds the 64-bit natural range: 18446744073709551616",
         18,
     ),
 ]
@@ -260,8 +265,22 @@ class TestLimits:
     def test_deep_tree_built_directly(self):
         expr = Explicit((0,))
         for i in range(1, 5001):
-            expr = Union(Explicit((2 * i,)), Augment(expr, (2 * i + 1,)))
+            expr = Union(Explicit((2 * i,)), Union(expr, Explicit((2 * i + 1,))))
+        assert len(expr.terms) == 10001
         assert expr_runs(expr, 10**6) == [(0, 0), (2, 10001)]
+
+    def test_long_union_repr_hash_eq(self):
+        text = " | ".join(["squares"] * 5000)
+        a, b = parse_set_expr(text), parse_set_expr(text)
+        assert a == b and hash(a) == hash(b)
+        assert repr(a) == repr(b) == f"Union(terms=({', '.join(['Powers(exponent=2)'] * 5000)}))"
+
+    def test_deep_tree_repr_hash_eq(self):
+        a = b = Explicit((0,))
+        for i in range(1, 5001):
+            a = Union(Explicit((i,)), a)
+            b = Union(Explicit((i,)), b)
+        assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
 
     @pytest.mark.parametrize(
         "text, digits, offset",
@@ -297,7 +316,7 @@ class TestLimits:
     def test_integers_up_to_64_bits(self):
         top = 2**64 - 1
         assert parse_set_expr(f"powers({top})") == Powers(top)
-        assert parse_set_expr(f"explicit{{{top}}} + {{{top}}}") == Augment(Explicit((top,)), (top,))
+        assert parse_set_expr(f"explicit{{{top}}} + {{{top}}}") == Union(Explicit((top,)), Explicit((top,)))
         assert parse_set_expr(f"paperfamily({top},{top},1,0)") == BlockFamily(top, top, 1, 0)
         with pytest.raises(SemanticError):
             Powers(2**64)
@@ -345,9 +364,10 @@ class TestConstruction:
         with pytest.raises(SemanticError):
             Explicit((-1,))
 
-    def test_augment_needs_elements(self):
-        with pytest.raises(SemanticError):
-            Augment(Powers(2), ())
+    def test_union_needs_two_terms(self):
+        for terms in ((), (Powers(2),)):
+            with pytest.raises(SemanticError):
+                Union(*terms)
 
     def test_family_defaults_are_counterexample(self):
         assert BlockFamily() == COUNTEREXAMPLE
@@ -399,7 +419,7 @@ class TestMaterialize:
 
     @given(set_exprs, st.lists(st.integers(0, 600), min_size=1, max_size=6), st.integers(0, 600))
     def test_augment_is_bitwise_or(self, a, extra, bound):
-        aug = materialize(Augment(a, tuple(extra)), bound)
+        aug = materialize(Union(a, Explicit(tuple(extra))), bound)
         expected = materialize(a, bound).mask
         for x in extra:
             if x <= bound:

@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 
 from addbasis import (
     COUNTEREXAMPLE,
-    Augment,
     BoundCeilingError,
     Explicit,
     Interval,
@@ -385,7 +384,7 @@ class TestIterateSumset:
     @settings(max_examples=25)
     @given(set_exprs, st.integers(1, 4), st.integers(0, 250))
     def test_monotone_in_h_with_zero(self, expr, h, bound):
-        withzero = Augment(expr, (0,))
+        withzero = Union(expr, Explicit((0,)))
         small = iterate_sumset(withzero, h, bound).bits
         large = iterate_sumset(withzero, h + 1, bound).bits
         assert small.mask & ~large.mask == 0
@@ -544,7 +543,7 @@ class TestFoldChain:
         # four runs of width 20 at 20,000: folds 1 and 2 on runs, then 2A's
         # ten runs make fold 3 cheaper on shift-OR
         blocks = [Interval(lo, lo + 19) for lo in (0, 1000, 3000, 7000)]
-        expr = Union(Union(blocks[0], blocks[1]), Union(blocks[2], blocks[3]))
+        expr = Union(*blocks)
         folds = list(islice(sumset_folds(expr, 20_000), 5))
         assert kernel_calls == {"runs": 2, "shift-or": 2}
         assert walks["expr_runs"] == 1
