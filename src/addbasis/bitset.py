@@ -76,13 +76,15 @@ class PrefixBitset:
     ``members``, ``is_full``, ``popcount``) bisect the run starts and read
     prefix sums of the run widths, so their cost is set by the run count, not
     by the bound.  ``.mask`` is built from the runs only when first read (by
-    ``pair_sumset``, ``restrict`` or ``complement_mask``), then cached.  On a
-    mask, point queries go through a lazily built bytes view so ``n in bits``
-    is O(1) instead of shifting the whole mask.  Immutable after
-    construction; safe to share between readers.
+    ``pair_sumset``, ``restrict`` or ``complement_mask``), then cached, and so
+    is a mask's popcount.  Two more views are built on first use and cached:
+    a bytes view, through which ``n in bits`` on a mask is O(1) instead of
+    shifting the whole mask, and the members' byte offsets by residue, which
+    the numpy shift-OR loop reads when this set is its outer operand.
+    Immutable after construction; safe to share between readers.
     """
 
-    __slots__ = ("bound", "_mask", "_runs", "_starts", "_below", "_buf")
+    __slots__ = ("bound", "_mask", "_runs", "_starts", "_below", "_buf", "_count", "_offsets")
 
     def __init__(self, bound: int, mask: int):
         if bound < 0:
@@ -93,6 +95,8 @@ class PrefixBitset:
         self._mask: int | None = mask
         self._runs: list[tuple[int, int]] | None = None
         self._buf: bytes | None = None
+        self._count: int | None = None
+        self._offsets: list | None = None
 
     @classmethod
     def from_runs(cls, bound: int, runs: list[tuple[int, int]]) -> "PrefixBitset":
@@ -106,6 +110,7 @@ class PrefixBitset:
         self._mask = None
         self._runs = runs
         self._buf = None
+        self._offsets = None
         # run i starts at _starts[i]; _below[i] members lie in runs before it
         self._starts = starts = []
         self._below = below = [0]
@@ -118,6 +123,7 @@ class PrefixBitset:
             starts.append(lo)
             below.append(below[-1] + hi - lo + 1)
             end = hi
+        self._count = below[-1]
         return self
 
     @property
@@ -134,6 +140,20 @@ class PrefixBitset:
             buf = self.mask.to_bytes(self.bound // 8 + 1, "little")
             self._buf = buf
         return buf
+
+    def _byte_offsets(self) -> list:
+        """The byte offsets ``i // 8`` of the members ``i``, as eight ascending
+        numpy arrays, one per residue ``i % 8``; built from the mask on first
+        call, then cached.  Imports numpy."""
+        offsets = self._offsets
+        if offsets is None:
+            import numpy as np
+
+            packed = np.frombuffer(self.mask.to_bytes(self.bound // 8 + 1, "little"), np.uint8)
+            at = np.flatnonzero(packed)
+            bits = np.unpackbits(packed[at], bitorder="little").reshape(-1, 8).view(bool)
+            offsets = self._offsets = [at[bits[:, r]] for r in range(8)]
+        return offsets
 
     def _rank(self, i: int) -> int:
         """Members below ``i``, from the runs."""
@@ -161,9 +181,10 @@ class PrefixBitset:
         return list(self.members())
 
     def popcount(self) -> int:
-        if self._runs is not None:
-            return self._below[-1]
-        return self.mask.bit_count()
+        count = self._count
+        if count is None:
+            count = self._count = self.mask.bit_count()
+        return count
 
     def count_range(self, lo: int, hi: int) -> int:
         """Number of members in ``[lo, hi]``; requires ``hi <= bound``."""

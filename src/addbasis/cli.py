@@ -30,8 +30,26 @@ from .sumset import iterate_sumset
 from .verify import verify_counterexample
 
 
+def _ascii_digits(text: str) -> bool:
+    # int() and Decimal() also read other scripts' digits and underscores
+    return text.isascii() and "_" not in text
+
+
+def int_arg(text: str) -> int:
+    """An integer in ASCII digits, without underscores, as ``int()`` reads it."""
+    try:
+        if not _ascii_digits(text):
+            raise ValueError
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer in ASCII digits: {text!r}") from None
+
+
 def nat_arg(text: str) -> int:
-    """Integer in ``[0, 2^64 - 1]``, accepting scientific notation like ``2.1e5``."""
+    """Integer in ``[0, 2^64 - 1]`` in ASCII digits, accepting scientific
+    notation like ``2.1e5``."""
+    if not _ascii_digits(text):
+        raise argparse.ArgumentTypeError(f"not a number in ASCII digits: {text!r}")
     try:
         d = decimal.Decimal(text)
     except decimal.InvalidOperation:
@@ -49,7 +67,7 @@ def nat_arg(text: str) -> int:
 def intlist_arg(text: str) -> tuple[int, ...]:
     """Comma-separated integers in ``[0, 2^64 - 1]``, in ASCII digits."""
     try:
-        if not text.isascii():  # int() reads every Unicode digit
+        if not _ascii_digits(text):
             raise ValueError
         items = tuple(int(part) for part in text.split(","))
     except ValueError:
@@ -212,13 +230,13 @@ def build_parser() -> argparse.ArgumentParser:
         help="reproduce every desk-scale claim about the built-in counterexample family",
     )
     sp.add_argument("--bound", type=nat_arg, default=210000)
-    sp.add_argument("--seed", type=int, default=0, help="stability sweep RNG seed")
+    sp.add_argument("--seed", type=int_arg, default=0, help="stability sweep RNG seed")
     sp.set_defaults(set="counterexample")
     _add_format_flags(sp)
 
     sp = sub.add_parser("sumset", help="h-fold sumset membership and gaps over [0, bound]")
     sp.add_argument("--set", required=True, help="set expression")
-    sp.add_argument("--h", type=int, required=True, help="fold count")
+    sp.add_argument("--h", type=int_arg, required=True, help="fold count")
     sp.add_argument("--bound", type=nat_arg, required=True)
     sp.add_argument("--limit", type=nat_arg, default=100, help="member/gap listing cap")
     _add_format_flags(sp)
@@ -226,33 +244,33 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("order", help="certified order lower bound and prefix upper bound")
     sp.add_argument("--set", required=True)
     sp.add_argument("--bound", type=nat_arg, required=True)
-    sp.add_argument("--hmax", type=int, required=True)
+    sp.add_argument("--hmax", type=int_arg, required=True)
     _add_format_flags(sp)
 
     sp = sub.add_parser("density", help="counting-function ratios of tA along a subsequence")
     sp.add_argument("--set", required=True)
-    sp.add_argument("--t", type=int, default=1, help="fold count (density of tA)")
+    sp.add_argument("--t", type=int_arg, default=1, help="fold count (density of tA)")
     sp.add_argument("--subseq", required=True, help='e.g. "2*10^k+1" or "10^k"')
-    sp.add_argument("--terms", type=int, default=5)
-    sp.add_argument("--start", type=int, default=1, help="first index k")
+    sp.add_argument("--terms", type=int_arg, default=5)
+    sp.add_argument("--start", type=int_arg, default=1, help="first index k")
     _add_format_flags(sp, plot_data=True)
 
     sp = sub.add_parser("stability", help="which witness-family terms stay outside (h-1)(A ∪ F)")
     sp.add_argument("--set", required=True)
     sp.add_argument("--add", type=intlist_arg, default=(), help="augmentation F, comma-separated")
-    sp.add_argument("--h", type=int, required=True)
+    sp.add_argument("--h", type=int_arg, required=True)
     sp.add_argument("--subseq", required=True)
-    sp.add_argument("--terms", type=int, default=4)
-    sp.add_argument("--start", type=int, default=1)
+    sp.add_argument("--terms", type=int_arg, default=4)
+    sp.add_argument("--start", type=int_arg, default=1)
     sp.add_argument("--bound", type=nat_arg, required=True)
     _add_format_flags(sp)
 
     sp = sub.add_parser("probe", help="sample the (h-2)A and (h-1)A density trend conditions")
     sp.add_argument("--set", required=True)
-    sp.add_argument("--h", type=int, required=True, help="claimed order, h >= 3")
+    sp.add_argument("--h", type=int_arg, required=True, help="claimed order, h >= 3")
     sp.add_argument("--subseq", required=True)
-    sp.add_argument("--terms", type=int, default=5)
-    sp.add_argument("--start", type=int, default=1)
+    sp.add_argument("--terms", type=int_arg, default=5)
+    sp.add_argument("--start", type=int_arg, default=1)
     _add_format_flags(sp, plot_data=True)
 
     return parser

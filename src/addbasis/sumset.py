@@ -18,7 +18,7 @@ from itertools import islice
 from pathlib import Path
 from typing import Iterator
 
-from .bitset import PrefixBitset, full_mask, iter_bits, runs_mask
+from .bitset import PrefixBitset, full_mask, iter_bits
 from .setexpr import SetExpr, check_bound, expr_runs, merge_runs
 
 @dataclass(frozen=True)
@@ -62,51 +62,57 @@ def pair_sumset(p: PrefixBitset, q: PrefixBitset, bound: int) -> PrefixBitset:
     numpy array, one byte slice per member, split by accumulator region into
     ranges that each fold on their own CPU, if this process may use that
     many, and share nothing they write (``_shift_or_words``); smaller ones
-    are ORed as Python ints.  A run-backed operand's mask is built here.
+    are ORed as Python ints.  On numpy, the outer operand's members come from
+    its cached byte-offset view, so a set that is the outer operand of many
+    folds is read once, and when both operands hold the same set each pair
+    is ORed once, by its smaller member.  ``{0} + Q`` is ``Q`` itself,
+    returned without a shift or a mask.  A run-backed operand's mask is
+    built here.
     """
     if p.bound != bound or q.bound != bound:
         raise ValueError(
             f"bound mismatch: operands bounded at {p.bound} and {q.bound}, need {bound}"
         )
-    if p.popcount() <= q.popcount():
-        outer, inner = p.mask, q.mask
-    else:
-        outer, inner = q.mask, p.mask
+    outer, inner = (p, q) if p.popcount() <= q.popcount() else (q, p)
+    if outer.popcount() == 1 and 0 in outer:  # {0} + Q is Q, shifted by nothing
+        return inner
     if bound // 64 + 1 < SHIFT_OR_NUMPY_WORDS:
         acc = 0
-        for a in iter_bits(outer):
-            acc |= inner << a
+        inner_mask = inner.mask
+        for a in iter_bits(outer.mask):
+            acc |= inner_mask << a
         return PrefixBitset(bound, acc & full_mask(bound))
-    return PrefixBitset(bound, _shift_or_words(outer, inner, bound))
+    return PrefixBitset(bound, _shift_or_words(outer, inner.mask, bound))
 
 
-def _shift_or_words(outer: int, inner: int, bound: int) -> int:
+def _shift_or_words(outer: PrefixBitset, inner: int, bound: int) -> int:
     """The OR of ``inner << a`` over the members ``a`` of ``outer``, windowed
     to ``[0, bound]``, by in-place ORs of byte slices into one numpy array.
 
     A shift by ``a`` is a byte offset of ``a // 8`` and a bit shift by
-    ``a % 8``, so the members, read from ``outer``'s nonzero bytes, are
-    grouped by residue.  The accumulator is split into the word ranges of
-    ``_split_words``, each ORed from start to finish by its own thread, the
-    calling thread included.  For each residue a range's thread ORs
-    ``inner``'s bytes at every member's offset into a private buffer that
-    covers its words and the one below them, then ORs that buffer, bit
-    shifted by the residue with the word below carrying its high bits in,
-    into its range of the accumulator.  Bytes shifted past the last word fall
-    off.  The threads read only ``inner``'s bytes, write only their own range
-    and buffers, allocate nothing and meet only when joined before return.
+    ``a % 8``, so the members are read grouped by residue, from ``outer``'s
+    cached ``_byte_offsets`` view.  When ``inner`` is ``outer``'s own mask,
+    each member ORs only ``inner``'s bytes from its own offset up, since a
+    pair whose other member lies below it is ORed by that other member; for
+    the squares at 1e7 that skips about 29% of the bytes.  The accumulator
+    is split into the word ranges of ``_split_words``, each ORed from start
+    to finish by its own thread, the calling thread included.  For each
+    residue a range's thread ORs ``inner``'s bytes at every member's offset
+    into a private buffer that covers its words and the one below them, then
+    ORs that buffer, bit shifted by the residue with the word below carrying
+    its high bits in, into its range of the accumulator.  Bytes shifted past
+    the last word fall off.  The threads read only ``inner``'s bytes, write
+    only their own range and buffers, allocate nothing and meet only when
+    joined before return.
     """
     import numpy as np
 
     words = bound // 64 + 1
-    packed = np.frombuffer(outer.to_bytes(words * 8, "little"), dtype=np.uint8)
-    at = np.flatnonzero(packed)
-    bits = np.unpackbits(packed[at], bitorder="little").reshape(-1, 8).view(bool)
-    del packed
-    residues = [at[bits[:, r]] for r in range(8)]
-    del at, bits
-    spans = _split_words(np.concatenate(residues), words, _usable_cpus())
-    residues = [starts.tolist() for starts in residues]
+    offsets = outer._byte_offsets()
+    # a member at byte offset o ORs from byte o on, or from o + o on the same set
+    reach = 2 if inner == outer.mask else 1
+    spans = _split_words(np.concatenate(offsets) * reach, words, _usable_cpus())
+    residues = [starts.tolist() for starts in offsets]
     src = np.frombuffer(inner.to_bytes(words * 8, "little"), dtype=np.uint8)
     acc = np.zeros(words, dtype="<u8")
     # each range's buffer and carry, allocated here: a worker's own
@@ -124,8 +130,9 @@ def _shift_or_words(outer: int, inner: int, bound: int) -> int:
                 if not starts:
                     continue
                 buf.fill(0)
-                for o in islice(starts, bisect_left(starts, top)):
-                    b = max(o, base)
+                # the members whose OR starts below top (a multiple of 8)
+                for o in islice(starts, bisect_left(starts, top // reach)):
+                    b = max(o * reach, base)
                     buf8[b - base :] |= src[b - o : top - o]
                 if r:
                     np.right_shift(buf[:-1], 64 - r, out=carry)
@@ -194,18 +201,21 @@ def _quota_cpus(text: str) -> int | None:
 
 def _split_words(starts, words: int, cpus: int) -> list[tuple[int, int]]:
     """Contiguous ``(lo, hi)`` word ranges that cover ``[0, words)``, one per
-    worker of ``_shift_or_words`` for the member byte offsets ``starts``.
+    worker of ``_shift_or_words``, for the byte offsets ``starts`` at which
+    the members' ORs start.
 
     There are at most ``cpus`` ranges, and each spans at least
     ``SHIFT_OR_RANGE_WORDS`` words unless there is one, so smaller masks stay
-    on one thread.  A member ORs every byte above its offset, so the OR work
-    at a word grows with the members below it; the cuts split the running
+    on one thread.  A member ORs every byte from its start up, so the OR work
+    at a word grows with the starts below it; the cuts split the running
     total of that work evenly, then move apart to the least span.  On two
     CPUs the least span holds the cut up to about N = 1e7 for cubes, 1.2e7
     for squares and 1.5e7 for sqrt(N) random points; above that the balance
     pays: a 2A + A fold at N = 3e7 took 0.62-0.67 s for squares and
     0.40-0.46 s for random points, against 0.83-1.06 s and 0.71-0.90 s on
-    two equal ranges (best and median of 5, two runs, 2 vCPUs).
+    two equal ranges (best and median of 5, two runs, 2 vCPUs).  The running
+    total is read in closed form from the sorted start words, so a split
+    costs a bisection per cut, not a pass over the words.
     """
     import numpy as np
 
@@ -213,12 +223,22 @@ def _split_words(starts, words: int, cpus: int) -> list[tuple[int, int]]:
     k = min(cpus, words // floor)
     if k <= 1:
         return [(0, words)]
-    work = np.cumsum(np.bincount(starts >> 3, minlength=words))
-    np.cumsum(work, out=work)
+    first = np.sort(starts >> 3)  # the word each member's OR starts in
+    below = np.concatenate(([0], np.cumsum(first)))
+
+    def work(w: int) -> int:
+        # words ORed in [0, w]: each start word q <= w adds w + 1 - q
+        c = int(np.searchsorted(first, w, "right"))
+        return c * (w + 1) - int(below[c])
+
+    total = work(words - 1)
     cuts = [0]
     for i in range(1, k):
-        cut = int(np.searchsorted(work, work[-1] * i // k))
-        cuts.append(min(max(cut, cuts[-1] + floor), words - (k - i) * floor))
+        share, lo, hi = total * i // k, 0, words - 1
+        while lo < hi:  # the first word at which the work reaches its share
+            mid = (lo + hi) // 2
+            lo, hi = (lo, mid) if work(mid) >= share else (mid + 1, hi)
+        cuts.append(min(max(lo, cuts[-1] + floor), words - (k - i) * floor))
     cuts.append(words)
     return list(zip(cuts, cuts[1:]))
 
@@ -260,11 +280,14 @@ def sumset_folds(expr: SetExpr, bound: int) -> Iterator[PrefixBitset]:
     ``max(|R|, |A runs|)·|A runs|`` run pairs, at ``RUN_PAIR_WORDS`` each,
     cost at most what shift-OR costs per fold, ``|A|`` shifts x words.  These
     folds are yielded as run-backed prefixes, so a chain that stays on runs
-    builds no mask at all.  Past that, A's mask is built once from the same
-    runs, ``pair_sumset`` builds the last run fold's mask, and this and every
-    later fold run through it.  Leaving runs is final and fold 1 is A itself
-    on either kernel, so the max makes fold 1 count as fold 2, the first that
-    does work.  Both kernels are exact; the choice changes only the cost.
+    builds no mask at all.  Past that every fold goes through ``pair_sumset``
+    with one prefix of A's runs as an operand, so A's mask, popcount and byte
+    offsets are each built once per chain, and the last run fold's mask
+    once.  A chain that leaves runs at fold 0 gets fold 1 as that prefix
+    itself (``{0} + A`` is A, with no shift) and fold 2 as A + A, which ORs
+    each pair once.  Leaving runs is final and fold 1 is A itself on either
+    kernel, so the max makes fold 1 count as fold 2, the first that does
+    work.  Both kernels are exact; the choice changes only the cost.
     """
     check_bound(bound)
     base_runs = expr_runs(expr, bound)
@@ -276,7 +299,7 @@ def sumset_folds(expr: SetExpr, bound: int) -> Iterator[PrefixBitset]:
         runs = run_sumset(runs, base_runs, bound)
         bits = PrefixBitset.from_runs(bound, runs)
         yield bits
-    base = PrefixBitset(bound, runs_mask(base_runs, bound))
+    base = PrefixBitset.from_runs(bound, base_runs)
     while True:
         bits = pair_sumset(bits, base, bound)
         yield bits

@@ -238,13 +238,18 @@ class TestHypothesisProbe:
         calls = []
 
         def counted(*args):
-            calls.append(args)
-            return pair_sumset(*args)
+            calls.append((*args, pair_sumset(*args)))
+            return calls[-1][-1]
 
         monkeypatch.setattr(sumset_module, "pair_sumset", counted)
         subseq = SubseqSpec(1, 10, 0, start=1, count=3)
         rep = hypothesis_probe(SQUARES, 4, subseq)
         assert len(calls) == 3  # folds 1, 2 and 3 of one chain, on shift-OR
+        # fold 1 is {0} + A, which returns A's prefix itself; fold 2 adds
+        # that prefix to itself, and fold 3 adds it to fold 2
+        (zero, a, _, one), (p2, q2, _, two), (p3, q3, _, _) = calls
+        assert zero.to_list() == [0] and one is a
+        assert p2 is q2 is a and p3 is two and q3 is a
         assert rep.h2_rows == density_sequence(SQUARES, 2, subseq).rows
         assert rep.h1_rows == density_sequence(SQUARES, 3, subseq).rows
 

@@ -52,6 +52,16 @@ def test_membership_and_members(elements):
     assert bound + 1 not in bits
 
 
+def test_views_are_built_once():
+    bits = PrefixBitset(2000, sum(1 << i for i in (3, 9, 10, 17, 1999)))
+    assert bits.popcount() == 5
+    offsets = bits._byte_offsets()
+    # a second read of either view answers from the first, not from the mask
+    bits._mask = 0
+    assert bits.popcount() == 5
+    assert bits._byte_offsets() is offsets
+
+
 def test_mask_above_bound_rejected():
     with pytest.raises(ValueError):
         PrefixBitset(3, 1 << 4)
@@ -164,6 +174,9 @@ def test_run_backed_matches_mask(case):
     assert runs == masked and masked == runs
     assert runs != PrefixBitset.from_runs(bound + 1, expr_runs(expr, bound))
     assert runs.mask == masked.mask
+    by_residue = [[i // 8 for i in sorted(members) if i % 8 == r] for r in range(8)]
+    assert [o.tolist() for o in runs._byte_offsets()] == by_residue
+    assert [o.tolist() for o in masked._byte_offsets()] == by_residue
 
 
 @pytest.mark.parametrize(

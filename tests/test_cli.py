@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from addbasis.cli import MAX_TERMS, intlist_arg, main, nat_arg
+from addbasis.cli import MAX_TERMS, int_arg, intlist_arg, main, nat_arg
 from addbasis.report import RESULT_SCHEMAS, ReportError, jsonable, validate_report
 from reference import report_json_schema, report_validator
 
@@ -53,9 +53,21 @@ class TestBoundParsing:
     def test_int_lists(self):
         assert intlist_arg(" 1, 2 ,3\t") == (1, 2, 3)
         assert intlist_arg("0,18446744073709551615") == (0, 2**64 - 1)
-        for text in ("18446744073709551616", "1,-1", "١٢", "1,٣", "1,,2", "1;2"):
+        for text in ("18446744073709551616", "1,-1", "١٢", "1,٣", "1,,2", "1;2", "1_000", "3,1_2"):
             with pytest.raises(argparse.ArgumentTypeError):
                 intlist_arg(text)
+
+    def test_ascii_digits_only(self):
+        # int() and Decimal() read other scripts' digits and underscores too
+        for text in ("١٠", "٣", "1_000", "2.1e1_0", "1e٣", "10\u00a0"):
+            with pytest.raises(argparse.ArgumentTypeError, match="ASCII"):
+                nat_arg(text)
+        for text in ("١٠", "٣", "1_000", "-1_0", "+٣", "two", "1e3", ""):
+            with pytest.raises(argparse.ArgumentTypeError, match="ASCII"):
+                int_arg(text)
+        assert int_arg("42") == 42
+        assert int_arg("-3") == -3  # a negative count is refused by its command
+        assert int_arg(" 7\n") == 7
 
 
 class TestCommands:
@@ -233,6 +245,34 @@ class TestExitCodes:
             assert (code, out) == (2, "")
             assert "argument --add" in err
         assert run_json(capsys, *stability, "--add", " 12 , 3")["result"]["added"] == [3, 12]
+
+    def test_numeric_options_in_ascii_digits(self, capsys):
+        sumset = ["sumset", "--set", "squares", "--h", "1", "--bound", "10"]
+        density = ["density", "--set", "squares", "--subseq", "10^k", "--terms", "2"]
+        stability = ["stability", "--set", "counterexample", "--h", "3", "--subseq", "2*10^k+1",
+                     "--terms", "2", "--bound", "2100"]
+        probe = ["probe", "--set", "squares", "--h", "3", "--subseq", "10^k", "--terms", "2"]
+        for argv, option in (
+            (["sumset", "--set", "squares", "--h", "1", "--bound", "١٠", "--limit", "٥"], "--bound"),
+            (["sumset", "--set", "squares", "--h", "1", "--bound", "1_000"], "--bound"),
+            ([*sumset, "--limit", "1_0"], "--limit"),
+            (["sumset", "--set", "squares", "--h", "١", "--bound", "10"], "--h"),
+            (["order", "--set", "squares", "--bound", "100", "--hmax", "٣"], "--hmax"),
+            (["order", "--set", "squares", "--bound", "100", "--hmax", "1_0"], "--hmax"),
+            ([*density, "--t", "٢"], "--t"),
+            ([*density, "--start", "1_0"], "--start"),
+            ([*probe[:-2], "--terms", "٢"], "--terms"),
+            ([*stability, "--add", "1_000"], "--add"),
+            (["verify-counterexample", "--bound", "2.1e5", "--seed", "٧"], "--seed"),
+            (["verify-counterexample", "--bound", "2_100_000"], "--bound"),
+        ):
+            code, out, err = run_cli(capsys, *argv)
+            assert (code, out) == (2, ""), argv
+            assert f"argument {option}" in err, (argv, err)
+        assert run_json(capsys, "sumset", "--set", "squares", "--h", "1", "--bound", "1e1")[
+            "result"
+        ]["bound"] == 10
+        assert run_json(capsys, *probe)["result"]["h"] == 3
 
     def test_non_ascii_digits(self, capsys):
         for argv, message in (

@@ -94,6 +94,21 @@ def random_mask(rng, bound, k):
     return sum(1 << x for x in rng.sample(range(bound + 1), min(k, bound + 1)))
 
 
+class InlineThread:
+    """A stand-in for ``threading.Thread`` whose ``start`` runs the worker to
+    completion, so each shift-OR range folds before the next one starts and
+    a range that waited on another's progress would hang."""
+
+    def __init__(self, target, args):
+        self.target, self.args = target, args
+
+    def start(self):
+        self.target(*self.args)
+
+    def join(self):
+        pass
+
+
 class TestShiftOrLoops:
     """The numpy word loop against the Python-int loop, forced by moving
     SHIFT_OR_NUMPY_WORDS, on seeded random operands around the floor, split
@@ -158,18 +173,6 @@ class TestShiftOrLoops:
         assert thrice == pair_sumset(twice, squares, squares.bound)
 
     def test_ranges_fold_independently(self, monkeypatch):
-        # each worker runs to completion inside start(), before the next one
-        # starts, so a range that waited on another's progress would hang
-        class InlineThread:
-            def __init__(self, target, args):
-                self.target, self.args = target, args
-
-            def start(self):
-                self.target(*self.args)
-
-            def join(self):
-                pass
-
         rng = random.Random(12)
         bound = 64 * 40 - 1
         pairs = [
@@ -193,6 +196,51 @@ class TestShiftOrLoops:
         caller.join(timeout=60)
         assert not caller.is_alive(), "a range waited on another"
         assert folds == {cpus: ints for cpus in (2, 3, 5)}
+
+    def test_same_set_loop_matches_ints(self, monkeypatch):
+        # pair_sumset(p, p) on numpy ORs each pair once, from its smaller
+        # member; sets with members at all 8 residues and above bound / 2,
+        # folded on 1, 2 and 3 ranges of InlineThread
+        rng = random.Random(13)
+        bound = 64 * 40 - 1
+        spread = sum(1 << (8 * i + r) for r in range(8) for i in (0, 3, 150, 200, 319))
+        masks = [spread, 1 << bound, full_mask(bound)]
+        masks += [random_mask(rng, bound, k) for k in (9, 40, 300, 1500)]
+        sets = [PrefixBitset(bound, m) for m in masks]
+        for bits in sets[:1] + sets[4:]:
+            members = list(bits.members())
+            assert {a % 8 for a in members} == set(range(8)) and members[-1] > bound // 2
+        monkeypatch.setattr(sumset_module, "SHIFT_OR_NUMPY_WORDS", 2**63)
+        ints = [pair_sumset(p, p, bound) for p in sets]
+        monkeypatch.setattr(sumset_module, "SHIFT_OR_NUMPY_WORDS", 0)
+        monkeypatch.setattr(sumset_module, "SHIFT_OR_RANGE_WORDS", 1)
+        split = sumset_module._split_words
+        splits = []
+
+        def split_seen(starts, words, cpus):
+            spans = split(starts, words, cpus)
+            splits.append((sorted(starts.tolist()), spans))
+            return spans
+
+        monkeypatch.setattr(sumset_module, "_split_words", split_seen)
+        folds = {}
+
+        def fold():
+            for cpus in (1, 2, 3):
+                monkeypatch.setattr(sumset_module, "_usable_cpus", lambda: cpus)
+                folds[cpus] = [pair_sumset(p, p, bound) for p in sets]
+
+        caller = threading.Thread(target=fold, daemon=True)
+        monkeypatch.setattr(sumset_module.threading, "Thread", InlineThread)
+        caller.start()
+        caller.join(timeout=60)
+        assert not caller.is_alive(), "a range waited on another"
+        assert folds == {cpus: ints for cpus in (1, 2, 3)}
+        # each member's OR starts at twice its byte offset, and the ranges
+        # are split for that work
+        want = [sorted(2 * (a // 8) for a in p.members()) for p in sets]
+        assert [starts for starts, _ in splits] == want * 3
+        assert [len(spans) for _, spans in splits] == [1] * len(sets) + [2] * len(sets) + [3] * len(sets)
 
     def test_numpy_loop_memory(self, monkeypatch):
         # the loop holds the accumulator, inner's bytes and one buffer and
@@ -480,9 +528,9 @@ class TestKernelSelection:
         assert got.to_list() == [0, 3, 6, 9, 12]
 
 
-# every module that binds runs_mask: masks are built in the chain and lazily
-# by a run-backed prefix whose .mask is read
-MASK_BINDINGS = (bitset_module, setexpr_module, sumset_module)
+# every module that binds runs_mask: masks are built by materialize and
+# lazily by a run-backed prefix whose .mask is read, the chain's A included
+MASK_BINDINGS = (bitset_module, setexpr_module)
 
 
 @pytest.fixture
@@ -508,7 +556,7 @@ def walks(monkeypatch):
 
 class TestFoldChain:
     """One walk of A per chain; no mask while the chain stays on runs, and
-    only A's and the current fold's once it leaves them."""
+    only A's and the last run fold's once it leaves them."""
 
     def test_run_chain_walks_a_once(self, walks, kernel_calls):
         folds = list(islice(sumset_folds(COUNTEREXAMPLE, 210_000), 4))
@@ -529,15 +577,46 @@ class TestFoldChain:
         ]
         assert walks["masked"] == []
 
-    def test_shift_or_chain_builds_a_mask_once(self, walks, kernel_calls):
+    def test_shift_or_chain_builds_a_mask_once(self, walks, kernel_calls, monkeypatch):
+        kernel = sumset_module.pair_sumset
+        seen = []
+        monkeypatch.setattr(
+            sumset_module, "pair_sumset", lambda p, q, bound: seen.append((p, q)) or kernel(p, q, bound)
+        )
         points = (0, 1, 7, 30, 31, 90, 400, 401, 1000, 2500, 7000, 9999)
         folds = list(islice(sumset_folds(Explicit(points), 20_000), 4))
         assert walks["expr_runs"] == 1
         assert kernel_calls == {"runs": 0, "shift-or": 3}
         assert folds[1].to_list() == list(points)
-        # A's mask, and the 0-fold {0}'s, which the first shift-OR fold reads
+        # fold 1 is A's own prefix, returned by pair_sumset({0}, A) without a
+        # shift; fold 2 adds it to itself, and fold 3 to fold 2
+        a = folds[1]
+        assert [(p is folds[h], q is a) for h, (p, q) in enumerate(seen)] == [(True, True)] * 3
+        # so the only mask built is A's, read by fold 2 and kept for fold 3
         a_runs = expr_runs(Explicit(points), 20_000)
-        assert walks["masked"] == [a_runs, [(0, 0)]]
+        assert walks["masked"] == [a_runs]
+        assert folds == list(islice(shift_or_folds(Explicit(points), 20_000), 4))
+
+    def test_numpy_chain_prepares_a_once(self, walks, monkeypatch):
+        # on the numpy loop A is every fold's outer operand, and its byte
+        # offsets are built on fold 2 and read again by every later fold
+        monkeypatch.setattr(sumset_module, "SHIFT_OR_NUMPY_WORDS", 0)
+        view = PrefixBitset._byte_offsets
+        reads = []
+
+        def read(bits):
+            offsets = view(bits)
+            reads.append((bits, offsets))
+            return offsets
+
+        monkeypatch.setattr(PrefixBitset, "_byte_offsets", read)
+        points = (0, 1, 7, 30, 31, 90, 400, 401, 1000, 2500, 7000, 9999)
+        folds = list(islice(sumset_folds(Explicit(points), 20_000), 5))
+        assert len(reads) == 3
+        assert all(bits is folds[1] and offsets is reads[0][1] for bits, offsets in reads)
+        assert walks["masked"] == [expr_runs(Explicit(points), 20_000)]
+        monkeypatch.setattr(sumset_module, "SHIFT_OR_NUMPY_WORDS", 2**63)
+        assert folds == list(islice(shift_or_folds(Explicit(points), 20_000), 5))
 
     def test_chain_leaving_runs_builds_two_masks(self, walks, kernel_calls):
         # four runs of width 20 at 20,000: folds 1 and 2 on runs, then 2A's
@@ -551,8 +630,8 @@ class TestFoldChain:
         want = [[(0, 0)]]
         for _ in range(4):
             want.append(run_sumset(want[-1], a_runs, 20_000))
-        # A's mask, and fold 2's, which the first shift-OR fold reads
-        assert walks["masked"] == [a_runs, want[2]]
+        # fold 2's mask and A's, which the first shift-OR fold reads
+        assert walks["masked"] == [want[2], a_runs]
         assert folds == [PrefixBitset.from_runs(20_000, runs) for runs in want]
 
     def test_counterexample_verify_builds_no_mask(self, monkeypatch):
