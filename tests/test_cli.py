@@ -3,7 +3,9 @@ import copy
 import csv
 import io
 import json
+import math
 from dataclasses import dataclass
+from enum import IntEnum
 from fractions import Fraction
 from pathlib import Path
 
@@ -13,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from addbasis.cli import MAX_TERMS, int_arg, intlist_arg, main, nat_arg
-from addbasis.report import RESULT_SCHEMAS, ReportError, jsonable, validate_report
+from addbasis.report import RESULT_SCHEMAS, ReportError, canonical_json, jsonable, validate_report
 from reference import report_json_schema, report_validator
 
 
@@ -434,6 +436,12 @@ def _paths(value, path=()):
         yield from _paths(item, path + (key,))
 
 
+def _mismatch_message(report):
+    with pytest.raises(ReportError) as raised:
+        validate_report(report)
+    return str(raised.value)
+
+
 def _at(value, path):
     for key in path:
         value = value[key]
@@ -479,6 +487,50 @@ class TestReportSchema:
             report["result"]["rows"][0]["ratio"] = bad
             with pytest.raises(ReportError, match=r"report\.result\.rows\[0\]\.ratio: .* is not reduced ratio"):
                 validate_report(report)
+
+    # mismatches below the top level, each message pinned word for word
+    @pytest.mark.parametrize(
+        "golden, edit, message",
+        [
+            ("sumset-counterexample.json", lambda r: r["result"]["members"].__setitem__(3, -1),
+             "report.result.members[3]: -1 is not natural"),
+            ("sumset-counterexample.json", lambda r: r["result"]["members"].__setitem__(3, True),
+             "report.result.members[3]: True is not natural"),
+            ("order-squares.json", lambda r: r["result"]["scan"][1].__setitem__("first_gap", "x"),
+             "report.result.scan[1].first_gap: 'x' is not natural or None"),
+            ("verify-counterexample.json", lambda r: r["result"]["claims"][0].__setitem__("status", "MAYBE"),
+             "report.result.claims[0].status: 'MAYBE' is not 'PASS' or 'FAIL'"),
+            ("order-squares.json", lambda r: r["result"]["scan"][1].pop("covered"),
+             "report.result.scan[1]: missing key 'covered'"),
+            ("verify-counterexample.json", lambda r: r["result"]["claims"][0].pop("detail"),
+             "report.result.claims[0]: missing key 'detail'"),
+            ("order-squares.json", lambda r: r.__setitem__("timing_ms", -1.0),
+             "report.timing_ms: -1.0 is not nonnegative number"),
+            ("density-counterexample.json", lambda r: r["result"]["rows"][2].__setitem__("count", 1.0),
+             "report.result.rows[2].count: 1.0 is not natural"),
+            ("order-squares.json", lambda r: r["result"].__setitem__("scan", {}),
+             "report.result.scan: {} is not an array"),
+            ("order-squares.json", lambda r: r["result"].__setitem__("scan", [1]),
+             "report.result.scan[0]: 1 is not an object"),
+        ],
+    )
+    def test_nested_mismatch_messages(self, golden, edit, message):
+        report = copy.deepcopy(GOLDEN_REPORTS[golden])
+        edit(report)
+        assert _mismatch_message(report) == message
+
+    def test_first_mismatch_wins(self):
+        # faults are reported in the report's key order (the golden's keys
+        # are sorted) and, within an array, in item order
+        report = copy.deepcopy(GOLDEN_REPORTS["order-squares.json"])
+        report["result"]["upper"] = "four"
+        report["result"]["scan"][3]["covered"] = 1
+        report["result"]["scan"][2]["h"] = -2
+        assert _mismatch_message(report) == "report.result.scan[2].h: -2 is not natural"
+        report["result"]["scan"][2]["h"] = 3
+        assert _mismatch_message(report) == "report.result.scan[3].covered: 1 is not bool"
+        report["result"]["scan"][3]["covered"] = True
+        assert _mismatch_message(report) == "report.result.upper: 'four' is not natural or None"
 
     def test_goldens_pass_both(self):
         for report in GOLDEN_REPORTS.values():
@@ -562,6 +614,59 @@ class TestJsonable:
         assert jsonable(7) == 7 and type(jsonable(7)) is int
         assert jsonable("1/2") == "1/2"
         assert jsonable((1, (2, None))) == [1, [2, None]]
+
+
+# JSON values as json.dumps takes them: string keys, tuples as arrays
+JSON_TEXT = st.text(
+    st.characters(exclude_categories=())
+    | st.sampled_from(['"', "\\", "\x00", "\x1f", "\x7f", "\ud800", "\udfff", "\u2028", "é", "\U0001f600"])
+)
+JSON_LEAVES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.sampled_from([0, 1, -1, 2**70, -(2**70), -0.0, 1e16, math.nan, math.inf, -math.inf]),
+    st.integers(min_value=-(2**70), max_value=2**70),
+    st.floats(),
+    JSON_TEXT,
+)
+JSON_VALUES = st.recursive(
+    JSON_LEAVES,
+    lambda children: st.lists(children, max_size=4)
+    | st.lists(children, max_size=3).map(tuple)
+    | st.dictionaries(JSON_TEXT, children, max_size=4),
+    max_leaves=20,
+)
+
+
+class TestCanonicalJson:
+    @settings(max_examples=300)
+    @given(JSON_VALUES)
+    def test_matches_json_dumps(self, value):
+        assert canonical_json(value) == json.dumps(value, sort_keys=True, indent=2) + "\n"
+
+    def test_bools_beside_ints(self):
+        value = {"b": [True, 1, False, 0], "i": [1, 0, 2**70, -(2**70)], "t": (True,), "e": [[], {}, ()]}
+        assert canonical_json(value) == json.dumps(value, sort_keys=True, indent=2) + "\n"
+
+    def test_leaf_subclasses(self):
+        class Text(str):
+            pass
+
+        value = {"e": [IntEnum("E", "A B")(2)], "s": Text("q\n"), "f": type("F", (float,), {})("-inf")}
+        assert canonical_json(value) == json.dumps(value, sort_keys=True, indent=2) + "\n"
+
+    def test_goldens_reencode(self):
+        for path in sorted(GOLDEN.glob("*.json")):
+            text = path.read_text()
+            assert canonical_json(json.loads(text)) == text
+
+    @pytest.mark.parametrize("value", [{1, 2}, b"x", Fraction(1, 2), {"a": [frozenset()]}])
+    def test_unserializable_values_raise(self, value):
+        with pytest.raises(TypeError) as ours:
+            canonical_json(value)
+        with pytest.raises(TypeError) as theirs:
+            json.dumps(value, sort_keys=True, indent=2)
+        assert str(ours.value) == str(theirs.value)
 
 
 class TestOutputs:
