@@ -20,6 +20,11 @@ from .setexpr import SemanticError, SetExpr, U64_MAX
 from .sumset import iterate_sumset, sumset_folds
 
 
+class TermOverflowError(SemanticError, OverflowError):
+    """A subsequence term past ``2^64 - 1``: an input the commands refuse,
+    and an overflow to callers that catch those."""
+
+
 @dataclass(frozen=True)
 class SubseqSpec:
     """Index sequence ``n_k = a*base^k + c``, or ``a*k + c`` when base is None.
@@ -45,7 +50,7 @@ class SubseqSpec:
             raise SemanticError(f"subsequence count must be >= 1, got {self.count}")
 
     def term(self, k: int) -> int:
-        """``n_k``; raises OverflowError above ``2^64 - 1``."""
+        """``n_k``; raises ``TermOverflowError`` above ``2^64 - 1``."""
         if self.base is None:
             n = self.a * k + self.c
         elif self.a == 0:
@@ -55,7 +60,7 @@ class SubseqSpec:
         else:
             n = self.a * self.base**k + self.c
         if n is None or n > U64_MAX:
-            raise OverflowError(f"subsequence term n_{k} exceeds the 64-bit natural range")
+            raise TermOverflowError(f"subsequence term n_{k} exceeds the 64-bit natural range")
         return n
 
     def indexed_terms(self) -> tuple[tuple[int, int], ...]:
@@ -136,7 +141,7 @@ def _density_rows(
 def density_sequence(expr: SetExpr, t: int, subseq: SubseqSpec) -> DensityReport:
     """Rows ``(k, n_k, (tA)(n_k), ratio)`` with exact rational ratios."""
     if t < 0:
-        raise ValueError(f"fold count must be >= 0, got {t}")
+        raise SemanticError(f"fold count must be >= 0, got {t}")
     terms = subseq.indexed_terms()
     fold = iterate_sumset(expr, t, terms[-1][1]).bits
     return DensityReport(_density_rows(fold, terms))
@@ -187,7 +192,7 @@ def hypothesis_probe(expr: SetExpr, h: int, subseq: SubseqSpec) -> HypothesisRep
     report False at desk scale even when the true limit is zero.
     """
     if h < 3:
-        raise ValueError(f"the probe needs a claimed order h >= 3, got {h}")
+        raise SemanticError(f"the probe needs a claimed order h >= 3, got {h}")
     terms = subseq.indexed_terms()
     folds = islice(sumset_folds(expr, terms[-1][1]), h - 2, h)
     low, high = (_density_rows(fold, terms) for fold in folds)

@@ -30,14 +30,14 @@ def full_mask(bound: int) -> int:
     return (1 << (bound + 1)) - 1
 
 
-def runs_mask(runs: Sequence[tuple[int, int]], bound: int) -> int:
-    """Mask of the disjoint sorted runs ``(lo, hi)``, all within ``[0, bound]``.
+def runs_bytes(runs: Sequence[tuple[int, int]], size: int) -> bytearray:
+    """The little-endian bit bytes of the disjoint sorted runs ``(lo, hi)``,
+    ``size`` bytes long, which must hold the last run's ``hi``.
 
-    Fills a byte buffer up to the last run and converts it once: O(hi/8 +
-    runs) for the last run's ``hi``, where ORing one big integer per run
-    would copy the whole mask per run.
+    O(size + runs): ORing one big integer per run would copy the whole mask
+    per run.
     """
-    buf = bytearray(runs[-1][1] // 8 + 1 if runs else 0)
+    buf = bytearray(size)
     for lo, hi in runs:
         a, b = lo >> 3, hi >> 3
         if a == b:
@@ -48,7 +48,13 @@ def runs_mask(runs: Sequence[tuple[int, int]], bound: int) -> int:
             buf[a] |= (0xFF << (lo & 7)) & 0xFF
             buf[a + 1 : b] = b"\xff" * (b - a - 1)
             buf[b] |= 0xFF >> (7 - (hi & 7))
-    return int.from_bytes(buf, "little")
+    return buf
+
+
+def runs_mask(runs: Sequence[tuple[int, int]], bound: int) -> int:
+    """Mask of the disjoint sorted runs ``(lo, hi)``, all within ``[0, bound]``:
+    their ``runs_bytes`` up to the last run, converted once."""
+    return int.from_bytes(runs_bytes(runs, runs[-1][1] // 8 + 1 if runs else 0), "little")
 
 
 def iter_bits(mask: int) -> Iterator[int]:
@@ -76,11 +82,12 @@ class PrefixBitset:
     ``members``, ``is_full``, ``popcount``) bisect the run starts and read
     prefix sums of the run widths, so their cost is set by the run count, not
     by the bound.  ``.mask`` is built from the runs only when first read (by
-    ``pair_sumset``, ``restrict`` or ``complement_mask``), then cached, and so
-    is a mask's popcount.  Two more views are built on first use and cached:
-    a bytes view, through which ``n in bits`` on a mask is O(1) instead of
-    shifting the whole mask, and the members' byte offsets by residue, which
-    the numpy shift-OR loop reads when this set is its outer operand.
+    the Python-int loop of ``pair_sumset``, ``restrict`` or
+    ``complement_mask``), then cached, and so is a mask's popcount.  Two more
+    views are built on first use and cached: a bytes view, through which
+    ``n in bits`` on a mask is O(1) instead of shifting the whole mask, and
+    the members' byte offsets by residue, which the numpy shift-OR loop reads
+    when this set is its outer operand; on runs they are read from the runs.
     Immutable after construction; safe to share between readers.
     """
 
@@ -141,18 +148,35 @@ class PrefixBitset:
             self._buf = buf
         return buf
 
+    def _padded_bytes(self, size: int) -> bytes | bytearray:
+        """The little-endian bit bytes, ``size >= bound // 8 + 1`` bytes long;
+        from the runs without building the mask when run-backed."""
+        if self._runs is not None:
+            return runs_bytes(self._runs, size)
+        return self.mask.to_bytes(size, "little")
+
     def _byte_offsets(self) -> list:
         """The byte offsets ``i // 8`` of the members ``i``, as eight ascending
-        numpy arrays, one per residue ``i % 8``; built from the mask on first
-        call, then cached.  Imports numpy."""
+        numpy arrays, one per residue ``i % 8``; built on first call from the
+        runs, or from the mask when there are none, then cached.  Imports
+        numpy."""
         offsets = self._offsets
         if offsets is None:
             import numpy as np
 
-            packed = np.frombuffer(self.mask.to_bytes(self.bound // 8 + 1, "little"), np.uint8)
-            at = np.flatnonzero(packed)
-            bits = np.unpackbits(packed[at], bitorder="little").reshape(-1, 8).view(bool)
-            offsets = self._offsets = [at[bits[:, r]] for r in range(8)]
+            if self._runs is not None:
+                # member j lies in the run k that holds it, at that run's lo
+                # plus j less the members below run k; for point runs, at lo
+                below = np.array(self._below, np.int64)
+                members = np.repeat(np.array(self._starts, np.int64) - below[:-1], np.diff(below))
+                members += np.arange(self._count)
+                offsets = [members[(members & 7) == r] >> 3 for r in range(8)]
+            else:
+                packed = np.frombuffer(self.mask.to_bytes(self.bound // 8 + 1, "little"), np.uint8)
+                at = np.flatnonzero(packed)
+                bits = np.unpackbits(packed[at], bitorder="little").reshape(-1, 8).view(bool)
+                offsets = [at[bits[:, r]] for r in range(8)]
+            self._offsets = offsets
         return offsets
 
     def _rank(self, i: int) -> int:

@@ -4,8 +4,11 @@ A result echoes its inputs and adds the library report's fields through
 ``report.jsonable``, which decides which ratios get a decimal; ``sumset`` and
 ``verify-counterexample`` build theirs from listings and PASS/FAIL verdicts.
 
-Exit codes: 0 success, 2 precondition or usage violation, 3 internal
-verification failure (a mathematical claim or certificate did not hold).
+Exit codes: 0 success, 2 precondition or usage violation (a ``ParseError``,
+``SemanticError`` or ``BoundCeilingError``, or an argparse error), 3 internal
+failure: a mathematical claim or certificate did not hold, a report failed
+its shape check, or the library raised any other ``ValueError`` or
+``OverflowError``.
 
 ``main(argv)`` may be called repeatedly in one process: the parser is built
 once, on first use, and holds only argument definitions.  Each call picks its
@@ -25,7 +28,7 @@ from .order import VerificationError, order_bounds, stability_probe
 from .report import (
     SCHEMA_VERSION, ReportError, canonical_json, jsonable, plot_data_lines, rows_csv, validate_report,
 )
-from .setexpr import U64_MAX, parse_set_expr
+from .setexpr import U64_MAX, BoundCeilingError, ParseError, SemanticError, parse_set_expr
 from .sumset import iterate_sumset
 from .verify import verify_counterexample
 
@@ -91,7 +94,7 @@ def _check_folds(flag: str, value: int, fold: int, bound: int) -> None:
     # when it is not, so a fold past that adds only work; `fold` is the
     # largest fold that `flag` asks for
     if fold > max(bound, 1):
-        raise ValueError(
+        raise SemanticError(
             f"{flag} {value} needs fold {fold}, which exceeds max(bound, 1) = "
             f"{max(bound, 1)}; more folds add nothing on [0, bound]"
         )
@@ -105,7 +108,7 @@ MAX_TERMS = 1000
 
 def _subseq(args) -> SubseqSpec:
     if args.terms > MAX_TERMS:
-        raise ValueError(f"--terms {args.terms} exceeds MAX_TERMS = {MAX_TERMS}")
+        raise SemanticError(f"--terms {args.terms} exceeds MAX_TERMS = {MAX_TERMS}")
     return parse_subseq(args.subseq, start=args.start, count=args.terms)
 
 
@@ -301,10 +304,13 @@ def main(argv: list[str] | None = None) -> int:
     except VerificationError as exc:
         print(f"error: internal verification failure: {exc}", file=sys.stderr)
         return 3
-    # ParseError, SemanticError and BoundCeilingError are ValueErrors
-    except (OverflowError, ValueError) as exc:
+    # the input errors; any other ValueError or OverflowError is our fault
+    except (ParseError, SemanticError, BoundCeilingError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except (OverflowError, ValueError) as exc:
+        print(f"error: internal failure: {exc}", file=sys.stderr)
+        return 3
     timing_ms = round((time.perf_counter() - started) * 1000, 3)
     report = {
         "schema_version": SCHEMA_VERSION,

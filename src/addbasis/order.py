@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .analysis import SubseqSpec
-from .setexpr import Explicit, Interval, SetExpr, Union
+from .setexpr import Explicit, Interval, SemanticError, SetExpr, Union
 from .sumset import (  # noqa: F401  pair_sumset: bench/test_oracles.py traces it here
     iterate_sumset,
     pair_sumset,
@@ -68,7 +68,7 @@ def order_bounds(expr: SetExpr, bound: int, h_max: int) -> OrderReport:
     covered h.
     """
     if h_max < 1:
-        raise ValueError(f"h_max must be >= 1, got {h_max}")
+        raise SemanticError(f"h_max must be >= 1, got {h_max}")
     folds = sumset_folds(expr, bound)
     gap = next(folds).first_gap()  # of the 0-fold {0}
     # a gap in jA certifies order > j, i.e. lower = j + 1
@@ -142,10 +142,10 @@ def stability_probe(
     ``representation_count``.
     """
     if h < 2:
-        raise ValueError(f"stability probe needs h >= 2, got {h}")
+        raise SemanticError(f"stability probe needs h >= 2, got {h}")
     terms = family.indexed_terms()
     if terms[-1][1] > bound:
-        raise ValueError(
+        raise SemanticError(
             f"family term {terms[-1][1]} exceeds the probe bound {bound}"
         )
     extra = tuple(sorted(set(extra)))

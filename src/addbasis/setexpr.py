@@ -51,7 +51,8 @@ class ParseError(ValueError):
 
 
 class SemanticError(ValueError):
-    """Well-formed syntax denoting an invalid set (e.g. interval lo > hi)."""
+    """Well-formed input that is refused: syntax denoting an invalid set (e.g.
+    interval lo > hi), or an argument outside what a command accepts."""
 
     def __init__(self, message: str, offset: int | None = None):
         text = message if offset is None else f"{message} (at offset {offset})"
@@ -61,7 +62,8 @@ class SemanticError(ValueError):
 
 
 class BoundCeilingError(ValueError):
-    """Materialization bound above the configured memory ceiling."""
+    """Materialization bound above the configured memory ceiling, or a
+    ceiling setting that is not a natural number."""
 
 
 def bound_ceiling() -> int:
@@ -72,9 +74,9 @@ def bound_ceiling() -> int:
     try:
         value = int(raw)
     except ValueError:
-        raise ValueError(f"{MAX_BOUND_ENV} must be an integer, got {raw!r}") from None
+        raise BoundCeilingError(f"{MAX_BOUND_ENV} must be an integer, got {raw!r}") from None
     if value < 0:
-        raise ValueError(f"{MAX_BOUND_ENV} must be >= 0, got {value}")
+        raise BoundCeilingError(f"{MAX_BOUND_ENV} must be >= 0, got {value}")
     return value
 
 

@@ -19,7 +19,7 @@ from pathlib import Path
 from typing import Iterator
 
 from .bitset import PrefixBitset, full_mask, iter_bits
-from .setexpr import SetExpr, check_bound, expr_runs, merge_runs
+from .setexpr import SemanticError, SetExpr, check_bound, expr_runs, merge_runs
 
 @dataclass(frozen=True)
 class SumsetResult:
@@ -59,15 +59,16 @@ def pair_sumset(p: PrefixBitset, q: PrefixBitset, bound: int) -> PrefixBitset:
     kernel iterates over the sparser side since cost is popcount x words
     (tie broken toward the left operand; the result is identical either way).
     Masks of ``SHIFT_OR_NUMPY_WORDS`` words or more are ORed in place into a
-    numpy array, one byte slice per member, split by accumulator region into
-    ranges that each fold on their own CPU, if this process may use that
-    many, and share nothing they write (``_shift_or_words``); smaller ones
-    are ORed as Python ints.  On numpy, the outer operand's members come from
-    its cached byte-offset view, so a set that is the outer operand of many
-    folds is read once, and when both operands hold the same set each pair
-    is ORed once, by its smaller member.  ``{0} + Q`` is ``Q`` itself,
-    returned without a shift or a mask.  A run-backed operand's mask is
-    built here.
+    numpy array (``_shift_or_words``): one byte slice per member, split by
+    accumulator region into ranges that each fold on their own CPU, if this
+    process may use that many, and share nothing they write.  A fold there
+    that comes close to full is finished by testing only its remaining gaps,
+    and is returned run-backed.  Smaller masks are ORed as Python ints.  On
+    numpy, the outer operand's members come from its cached byte-offset view
+    and the inner operand's bytes from its runs when it has them, so a
+    run-backed operand builds no mask; when both operands are one object
+    each pair is ORed once, by its smaller member.  ``{0} + Q`` is ``Q``
+    itself, returned without a shift or a mask.
     """
     if p.bound != bound or q.bound != bound:
         raise ValueError(
@@ -82,56 +83,69 @@ def pair_sumset(p: PrefixBitset, q: PrefixBitset, bound: int) -> PrefixBitset:
         for a in iter_bits(outer.mask):
             acc |= inner_mask << a
         return PrefixBitset(bound, acc & full_mask(bound))
-    return PrefixBitset(bound, _shift_or_words(outer, inner.mask, bound))
+    return _shift_or_words(outer, inner, bound)
 
 
-def _shift_or_words(outer: PrefixBitset, inner: int, bound: int) -> int:
-    """The OR of ``inner << a`` over the members ``a`` of ``outer``, windowed
-    to ``[0, bound]``, by in-place ORs of byte slices into one numpy array.
+def _shift_or_words(outer: PrefixBitset, inner: PrefixBitset, bound: int) -> PrefixBitset:
+    """``(outer + inner) ∩ [0, bound]``, the OR of ``inner`` shifted by each
+    member of ``outer``, by in-place ORs of byte slices into one numpy array.
 
     A shift by ``a`` is a byte offset of ``a // 8`` and a bit shift by
     ``a % 8``, so the members are read grouped by residue, from ``outer``'s
-    cached ``_byte_offsets`` view.  When ``inner`` is ``outer``'s own mask,
-    each member ORs only ``inner``'s bytes from its own offset up, since a
-    pair whose other member lies below it is ORed by that other member; for
-    the squares at 1e7 that skips about 29% of the bytes.  The accumulator
-    is split into the word ranges of ``_split_words``, each ORed from start
-    to finish by its own thread, the calling thread included.  For each
-    residue a range's thread ORs ``inner``'s bytes at every member's offset
-    into a private buffer that covers its words and the one below them, then
-    ORs that buffer, bit shifted by the residue with the word below carrying
-    its high bits in, into its range of the accumulator.  Bytes shifted past
-    the last word fall off.  The threads read only ``inner``'s bytes, write
-    only their own range and buffers, allocate nothing and meet only when
-    joined before return.
+    cached ``_byte_offsets`` view.  When ``inner`` is ``outer`` itself, each
+    member ORs only ``inner``'s bytes from its own offset up, since a pair
+    whose other member lies below it is ORed by that other member; for the
+    squares at 1e7 that skips about 29% of the bytes.  The accumulator is
+    split into the word ranges of ``_split_words``, each ORed from start to
+    finish by its own thread, the calling thread included.  For each residue
+    a range's thread ORs ``inner``'s bytes at every member's offset into a
+    private buffer that covers its words and the one below them, then ORs
+    that buffer, bit shifted by the residue with the word below carrying its
+    high bits in, into its range of the accumulator.  Bytes shifted past the
+    last word fall off.  The threads read only ``inner``'s bytes, write only
+    their own range and buffers, allocate nothing and meet only when joined.
+
+    A fold that may come close to full ORs the members in ascending batches
+    of 1, 1, 2, 4, 8, ... and counts the accumulator's zeros after each.
+    Once at most one zero per ``GAP_TEST_WORDS`` words is left, testing the
+    zeros against the remaining members costs less than ORing those, so the
+    fold ends in ``_gap_runs`` and returns run-backed, and the accumulator is
+    never converted to an int.  After its smallest member a fold has at most
+    ``inner``'s gaps plus that member's value as zeros; it takes the
+    checkpoints only if that count, halved at each doubling of the members,
+    would reach the switch by the last member, and it stops taking them once
+    a doubling fails to halve the zeros.  Any other fold is a single batch.
     """
     import numpy as np
 
     words = bound // 64 + 1
     offsets = outer._byte_offsets()
     # a member at byte offset o ORs from byte o on, or from o + o on the same set
-    reach = 2 if inner == outer.mask else 1
+    reach = 2 if inner is outer else 1
     spans = _split_words(np.concatenate(offsets) * reach, words, _usable_cpus())
     residues = [starts.tolist() for starts in offsets]
-    src = np.frombuffer(inner.to_bytes(words * 8, "little"), dtype=np.uint8)
+    src = np.frombuffer(inner._padded_bytes(words * 8), dtype=np.uint8)
     acc = np.zeros(words, dtype="<u8")
     # each range's buffer and carry, allocated here: a worker's own
     # allocations would each take a malloc arena
     jobs = [(lo, hi, np.empty(hi - lo + 1, "<u8"), np.empty(hi - lo, "<u8")) for lo, hi in spans]
     errors: list[BaseException] = []
 
-    def work(lo: int, hi: int, buf, carry) -> None:
+    def work(lo: int, hi: int, buf, carry, batch: list[tuple[int, int]]) -> None:
         # buf holds words [lo - 1, hi) of one residue's unshifted OR, carry
         # the high bits that each of them but the last carries into the next
         base, top = lo * 8 - 8, hi * 8
         buf8, part = buf.view(np.uint8), acc[lo:hi]
         try:
             for r, starts in enumerate(residues):
-                if not starts:
+                # the batch's members of this residue whose OR starts below
+                # top (a multiple of 8)
+                first, last = batch[r]
+                last = min(last, bisect_left(starts, top // reach))
+                if first >= last:
                     continue
                 buf.fill(0)
-                # the members whose OR starts below top (a multiple of 8)
-                for o in islice(starts, bisect_left(starts, top // reach)):
+                for o in islice(starts, first, last):
                     b = max(o * reach, base)
                     buf8[b - base :] |= src[b - o : top - o]
                 if r:
@@ -142,22 +156,97 @@ def _shift_or_words(outer: PrefixBitset, inner: int, bound: int) -> int:
         except BaseException as exc:  # re-raised in the calling thread below
             errors.append(exc)
 
-    # the calling thread takes the first range, so one range starts no thread
-    threads = []
-    try:
-        for job in jobs[1:]:
-            thread = threading.Thread(target=work, args=job)
-            thread.start()
-            threads.append(thread)
-        work(*jobs[0])
-    finally:
-        for thread in threads:
-            thread.join()
-    if errors:
-        raise errors[0]
+    def fold(batch: list[tuple[int, int]]) -> None:
+        # the calling thread takes the first range, so one range starts no thread
+        threads = []
+        try:
+            for job in jobs[1:]:
+                thread = threading.Thread(target=work, args=(*job, batch))
+                thread.start()
+                threads.append(thread)
+            work(*jobs[0], batch)
+        finally:
+            for thread in threads:
+                thread.join()
+        if errors:
+            raise errors[0]
+
+    total = sum(map(len, residues))
+    smallest = min((o[0] * 8 + r for r, o in enumerate(residues) if o), default=0)
+    # zeros after the smallest member, at most: inner's gaps and every sum below it
+    free = bound + 1 - inner.popcount() + smallest
+    checked = free * GAP_TEST_WORDS <= total * words
+    # the members in ascending order, which the batches take in turn
+    members = None
+    if checked:
+        members = np.sort(np.concatenate([o * 8 + r for r, o in enumerate(offsets)]))
+    below_bound = np.uint64((1 << (bound % 64 + 1)) - 1)  # last word's bits up to bound
+    done, folded, zeros = 0, [0] * 8, None
+    while done < total:
+        end = min(max(2 * done, 1), total) if checked else total
+        if end == total:
+            upto = list(map(len, residues))
+        else:  # each residue's members among the first `end`
+            upto = np.bincount(members[:end] & 7, minlength=8).tolist()
+        fold(list(zip(folded, upto)))
+        done, folded = end, upto
+        if done == total:
+            break
+        acc[-1] &= below_bound
+        # each range's carry takes its words' bit counts
+        last, zeros = zeros, bound + 1 - sum(
+            int(np.bitwise_count(acc[lo:hi], out=carry.view(np.uint8)[: hi - lo]).sum())
+            for lo, hi, _, carry in jobs
+        )
+        if zeros * GAP_TEST_WORDS <= words:
+            return PrefixBitset.from_runs(bound, _gap_runs(acc, jobs, src, members[done:], bound))
+        checked = last is None or 2 * zeros <= last
     del src, jobs
-    acc[-1] &= np.uint64((1 << (bound % 64 + 1)) - 1)
-    return int.from_bytes(acc, "little")
+    acc[-1] &= below_bound
+    return PrefixBitset(bound, int.from_bytes(acc, "little"))
+
+
+def _gap_runs(acc, jobs, src, rest, bound: int) -> list[tuple[int, int]]:
+    """The runs between the gaps of ``_shift_or_words``'s fold: the zeros of
+    ``acc`` in ``[0, bound]`` that no remaining member in ``rest`` (ascending)
+    reaches with a member of ``inner``, whose bytes are ``src``.
+
+    Each range's carry marks its words that hold a zero, and only those
+    words are unpacked.  A zero ``g`` is hit by ``m`` iff ``g - m >= 0`` is a
+    member of ``inner``, so each block of members gathers those bits for
+    every zero still left, and the block is sized so that each of its index
+    arrays is at most an eighth of the mask.  The test stops when no zero is
+    left, or no member is at most the last one.
+    """
+    import numpy as np
+
+    found = []
+    for lo, hi, _, carry in jobs:
+        part = acc[lo:hi]
+        short = carry.view(np.bool_)[: hi - lo]
+        np.not_equal(part, np.uint64(2**64 - 1), out=short)
+        at = np.flatnonzero(short)
+        holes = np.flatnonzero(np.unpackbits((~part[at]).view(np.uint8), bitorder="little"))
+        found.append((at[holes >> 6] + lo) * 64 + (holes & 63))
+    gaps = np.concatenate(found)
+    gaps = gaps[gaps <= bound]
+    pairs = max(1, len(acc) // 8)
+    i = 0
+    while len(gaps) and i < len(rest) and rest[i] <= gaps[-1]:
+        block = rest[i : i + max(1, pairs // len(gaps))]
+        i += len(block)
+        d = gaps - block[:, None]
+        hit = (src[np.maximum(d, 0) >> 3] >> (d & 7)) & 1
+        hit &= d >= 0
+        gaps = gaps[~hit.any(axis=0)]
+    runs, lo = [], 0
+    for g in gaps.tolist():
+        if g > lo:
+            runs.append((lo, g - 1))
+        lo = g + 1
+    if lo <= bound:
+        runs.append((lo, bound))
+    return runs
 
 
 # cgroup files that cap this process's CPU time, read as "quota period":
@@ -271,6 +360,16 @@ def run_sumset(
 # folds of random runs at N = 1e5, 1e6 and 1e7 (quartiles 577 and 902).
 RUN_PAIR_WORDS = 800
 
+# Cost of testing one zero of a nearly full shift-OR fold against the members
+# still to fold, in mask words: _shift_or_words switches to the gap test once
+# zeros x GAP_TEST_WORDS <= words.  At 1e7 (156,251 words, best of 5, 2
+# vCPUs) 64 switched squares fold 4 after 16 of 3,163 members and cubes
+# folds 6-9 after 1-4 of 216, and declined cubes fold 5; at 16 cubes fold 5
+# switched after 16 members and took 7.3 ms against 6.1-6.3.  At 1e8, 64
+# switches cubes fold 5 after 8 of 464 members, and the cubes order took
+# 0.58 s, against 0.74 s at 128, which declines it (best of 3).
+GAP_TEST_WORDS = 64
+
 
 def sumset_folds(expr: SetExpr, bound: int) -> Iterator[PrefixBitset]:
     """``hA ∩ [0, bound]`` for ``h = 0, 1, 2, ...``, endlessly.
@@ -281,11 +380,14 @@ def sumset_folds(expr: SetExpr, bound: int) -> Iterator[PrefixBitset]:
     cost at most what shift-OR costs per fold, ``|A|`` shifts x words.  These
     folds are yielded as run-backed prefixes, so a chain that stays on runs
     builds no mask at all.  Past that every fold goes through ``pair_sumset``
-    with one prefix of A's runs as an operand, so A's mask, popcount and byte
-    offsets are each built once per chain, and the last run fold's mask
-    once.  A chain that leaves runs at fold 0 gets fold 1 as that prefix
-    itself (``{0} + A`` is A, with no shift) and fold 2 as A + A, which ORs
-    each pair once.  Leaving runs is final and fold 1 is A itself on either
+    with one prefix of A's runs as an operand, so A's popcount and byte
+    offsets are each built once per chain.  The numpy loop reads A's bytes
+    and the last run fold's from their runs; only the Python-int loop builds
+    their masks, once each.  A chain that leaves runs at fold 0 gets fold 1
+    as that prefix itself (``{0} + A`` is A, with no shift) and fold 2 as
+    A + A, which ORs each pair once.  A fold that the numpy loop finishes on
+    its gaps is run-backed, so the next fold reads its bytes from its runs
+    too.  Leaving runs is final and fold 1 is A itself on either
     kernel, so the max makes fold 1 count as fold 2, the first that does
     work.  Both kernels are exact; the choice changes only the cost.
     """
@@ -308,7 +410,7 @@ def sumset_folds(expr: SetExpr, bound: int) -> Iterator[PrefixBitset]:
 def iterate_sumset(expr: SetExpr, h: int, bound: int) -> SumsetResult:
     """Exact ``hA ∩ [0, bound]``: the h-th of ``sumset_folds``; ``h = 0`` yields ``{0}``."""
     if h < 0:
-        raise ValueError(f"fold count must be >= 0, got {h}")
+        raise SemanticError(f"fold count must be >= 0, got {h}")
     bits = next(islice(sumset_folds(expr, bound), h, None))
     return SumsetResult(h, bound, bits)
 

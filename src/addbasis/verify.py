@@ -27,7 +27,7 @@ from .order import (
     random_stability_sweep,
 )
 from .report import frac_decimal, jsonable
-from .setexpr import COUNTEREXAMPLE, BlockFamily
+from .setexpr import COUNTEREXAMPLE, BlockFamily, SemanticError
 from .sumset import iterate_sumset, representation_count
 
 MIN_VERIFY_BOUND = 21000
@@ -124,7 +124,7 @@ def _density_claim(expr, bound: int) -> tuple[Claim, DensityReport, DensityRepor
 def verify_counterexample(bound: int, seed: int = 0) -> VerifyOutcome:
     """Run all claims; requires ``bound >= MIN_VERIFY_BOUND``."""
     if bound < MIN_VERIFY_BOUND:
-        raise ValueError(
+        raise SemanticError(
             f"bound {bound} below the minimum {MIN_VERIFY_BOUND} needed for "
             "two witness terms and density tails"
         )

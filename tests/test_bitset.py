@@ -177,6 +177,8 @@ def test_run_backed_matches_mask(case):
     by_residue = [[i // 8 for i in sorted(members) if i % 8 == r] for r in range(8)]
     assert [o.tolist() for o in runs._byte_offsets()] == by_residue
     assert [o.tolist() for o in masked._byte_offsets()] == by_residue
+    size = bound // 8 + 9
+    assert runs._padded_bytes(size) == masked._padded_bytes(size) == masked.mask.to_bytes(size, "little")
 
 
 @pytest.mark.parametrize(

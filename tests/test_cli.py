@@ -225,6 +225,49 @@ class TestExitCodes:
         assert code == 3
         assert "verification" in err
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["sumset", "--set", "squares", "--h", "-1", "--bound", "10"], "fold count must be >= 0"),
+            (["order", "--set", "squares", "--bound", "10", "--hmax", "0"], "h_max must be >= 1"),
+            (["density", "--set", "squares", "--t", "-1", "--subseq", "10^k"], "fold count must be >= 0"),
+            (["density", "--set", "squares", "--subseq", "10^k", "--start", "25"], "64-bit natural range"),
+            (["probe", "--set", "squares", "--h", "2", "--subseq", "10^k"], "h >= 3"),
+            (["stability", "--set", "squares", "--h", "1", "--subseq", "k", "--bound", "10"], "h >= 2"),
+            (["stability", "--set", "squares", "--h", "3", "--subseq", "10^k", "--bound", "99"],
+             "exceeds the probe bound"),
+        ],
+    )
+    def test_library_argument_checks_map_to_two(self, capsys, argv, message):
+        # the library entry points refuse these arguments with SemanticError
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert message in err and "internal" not in err
+
+    def test_bad_ceiling_setting(self, capsys, monkeypatch):
+        monkeypatch.setenv("ADDBASIS_MAX_BOUND", "lots")
+        code, _, err = run_cli(capsys, "order", "--set", "squares", "--bound", "10", "--hmax", "2")
+        assert code == 2
+        assert "ADDBASIS_MAX_BOUND must be an integer" in err
+
+    def test_library_value_error_maps_to_three(self, capsys, monkeypatch):
+        # a ValueError from inside the kernels is a fault of ours, not of the
+        # input: pair_sumset's bound check, and from_runs on the gap path
+        import addbasis.sumset as sumset_module
+
+        kernel = sumset_module.pair_sumset
+        monkeypatch.setattr(sumset_module, "pair_sumset", lambda p, q, bound: kernel(p, q, bound + 1))
+        code, out, err = run_cli(capsys, "order", "--set", "squares", "--bound", "100", "--hmax", "4")
+        assert (code, out) == (3, "")
+        assert err.startswith("error: internal failure: bound mismatch")
+        monkeypatch.undo()
+        monkeypatch.setattr(sumset_module, "SHIFT_OR_NUMPY_WORDS", 0)
+        monkeypatch.setattr(sumset_module, "GAP_TEST_WORDS", 0)
+        monkeypatch.setattr(sumset_module, "_gap_runs", lambda *args: [(5, 3)])
+        code, out, err = run_cli(capsys, "sumset", "--set", "squares", "--h", "3", "--bound", "1000")
+        assert (code, out) == (3, "")
+        assert "runs must be sorted" in err
+
     def test_plot_data_rejected_for_order(self, capsys):
         for argv in (
             ["order", "--set", "squares", "--bound", "100", "--hmax", "4"],

@@ -32,6 +32,7 @@ from addbasis import setexpr as setexpr_module
 from addbasis import sumset as sumset_module
 from addbasis.order import order_bounds
 from addbasis.sumset import (
+    GAP_TEST_WORDS,
     RUN_PAIR_WORDS,
     SHIFT_OR_NUMPY_WORDS,
     SHIFT_OR_RANGE_WORDS,
@@ -92,6 +93,11 @@ class TestPairSumset:
 def random_mask(rng, bound, k):
     """A mask of ``k`` distinct random members of ``[0, bound]``."""
     return sum(1 << x for x in rng.sample(range(bound + 1), min(k, bound + 1)))
+
+
+def run_backed(bits):
+    """The same prefix, held as runs."""
+    return PrefixBitset.from_runs(bits.bound, expr_runs(Explicit(tuple(bits.members())), bits.bound))
 
 
 class InlineThread:
@@ -333,6 +339,112 @@ class TestShiftOrLoops:
             timeout=60,
         )
         assert done.returncode == 0, done.stderr
+
+
+class TestGapPath:
+    """Numpy folds finished by testing their last gaps, against the Python-int
+    loop: forced onto the numpy loop on 1, 2 and 3 ranges of InlineThread,
+    at gap prices that switch after the first member (0), after a few
+    batches (1) or, at these 40 words, only on a full accumulator (the
+    default)."""
+
+    BOUND = 64 * 40 - 1
+
+    @classmethod
+    def cases(cls, rng):
+        bound = cls.BOUND
+        full = full_mask(bound)
+        sparse = PrefixBitset(bound, random_mask(rng, bound, 30) | 1)
+        few_gaps = PrefixBitset(bound, full & ~random_mask(rng, bound, 12))
+        yield "dense inner with few gaps", sparse, few_gaps
+        yield "the same inner, run-backed", sparse, run_backed(few_gaps)
+        high = PrefixBitset(bound, sum(1 << a for a in rng.sample(range(40, bound), 30)))
+        yield "smallest outer member > 0", high, few_gaps
+        yield "empty outer", PrefixBitset(bound, 0), few_gaps
+        yield "empty inner", sparse, PrefixBitset(bound, 0)
+        # 1 + (h - 1) fills each hole h
+        holes = sum(1 << h for h in (10, 100, 1000, 2000))
+        yield "full result", PrefixBitset(bound, 0b11 | 1 << 500), PrefixBitset(bound, full & ~holes)
+        # no a in S reaches bound, since bound - a is missing, nor 0
+        s = rng.sample(range(1, 200), 20)
+        edges = full & ~sum(1 << (bound - a) for a in s)
+        yield "gaps at 0 and at bound", PrefixBitset(bound, sum(1 << a for a in s)), PrefixBitset(bound, edges)
+        a = run_backed(PrefixBitset(bound, random_mask(rng, bound, 250)))
+        yield "A + A", a, a
+
+    def test_gap_path_matches_ints(self, monkeypatch):
+        rng = random.Random(21)
+        cases = list(self.cases(rng))
+        monkeypatch.setattr(sumset_module, "SHIFT_OR_NUMPY_WORDS", 2**63)
+        ints = [pair_sumset(p, q, self.BOUND) for _, p, q in cases]
+        assert ints[5].is_full() and 0 not in ints[6] and self.BOUND not in ints[6]
+        monkeypatch.setattr(sumset_module, "SHIFT_OR_NUMPY_WORDS", 0)
+        monkeypatch.setattr(sumset_module, "SHIFT_OR_RANGE_WORDS", 1)
+        folds = {}
+
+        def fold():
+            for price in (0, 1, GAP_TEST_WORDS):
+                monkeypatch.setattr(sumset_module, "GAP_TEST_WORDS", price)
+                for cpus in (1, 2, 3):
+                    monkeypatch.setattr(sumset_module, "_usable_cpus", lambda: cpus)
+                    folds[price, cpus] = [pair_sumset(p, q, self.BOUND) for _, p, q in cases]
+
+        caller = threading.Thread(target=fold, daemon=True)
+        monkeypatch.setattr(sumset_module.threading, "Thread", InlineThread)
+        caller.start()
+        caller.join(timeout=60)
+        assert not caller.is_alive(), "a range waited on another"
+        for (price, cpus), got in folds.items():
+            for (name, _, _), bits, want in zip(cases, got, ints):
+                assert bits == want, (name, price, cpus)
+                answers = (bits.first_gap(), bits.is_full(), bits.popcount(), list(bits.gaps()))
+                assert answers == (want.first_gap(), want.is_full(), want.popcount(), list(want.gaps()))
+                # at price 0 every fold with two or more outer members
+                # switches after its first, and returns run-backed
+                if price == 0:
+                    assert (bits._runs is not None) == ("empty" not in name), name
+
+    @staticmethod
+    def count_checkpoints(monkeypatch):
+        """Lists each zero count of the numpy loop: one per range per checkpoint."""
+        counted = []
+        count = np.bitwise_count
+        monkeypatch.setattr(np, "bitwise_count", lambda *a, **k: counted.append(1) or count(*a, **k))
+        return counted
+
+    def test_checkpoints_only_where_a_switch_is_free(self, monkeypatch):
+        # 50 outer members from 7 up, and an inner with 93 gaps: at most 100
+        # zeros after member 7, so at 1,024 words a fold checks iff
+        # 100 x GAP_TEST_WORDS <= 50 x 1,024, that is at a price up to 512
+        rng = random.Random(22)
+        bound = 64 * 1024 - 1
+        outer = PrefixBitset(bound, sum(1 << a for a in [7, *rng.sample(range(8, bound), 49)]))
+        inner = PrefixBitset(bound, full_mask(bound) & ~random_mask(rng, bound, 93))
+        monkeypatch.setattr(sumset_module, "SHIFT_OR_NUMPY_WORDS", 2**63)
+        want = pair_sumset(outer, inner, bound)
+        monkeypatch.setattr(sumset_module, "SHIFT_OR_NUMPY_WORDS", 0)
+        counted = self.count_checkpoints(monkeypatch)
+        monkeypatch.setattr(sumset_module, "GAP_TEST_WORDS", 513)
+        got = pair_sumset(outer, inner, bound)
+        assert (counted, got._runs, got) == ([], None, want)
+        monkeypatch.setattr(sumset_module, "GAP_TEST_WORDS", 512)
+        assert pair_sumset(outer, inner, bound) == want
+        assert counted
+
+    def test_checkpoints_stop_when_zeros_do_not_halve(self, monkeypatch):
+        # 300 outer members and a sparse inner: the zeros barely fall, so
+        # the fold checks after 1 and 2 members, then ORs the rest at once
+        rng = random.Random(23)
+        bound = 64 * 1024 - 1
+        outer = PrefixBitset(bound, random_mask(rng, bound, 299) | 1)
+        inner = PrefixBitset(bound, random_mask(rng, bound, 400))
+        monkeypatch.setattr(sumset_module, "SHIFT_OR_NUMPY_WORDS", 2**63)
+        want = pair_sumset(outer, inner, bound)
+        monkeypatch.setattr(sumset_module, "SHIFT_OR_NUMPY_WORDS", 0)
+        monkeypatch.setattr(sumset_module, "GAP_TEST_WORDS", 4)
+        counted = self.count_checkpoints(monkeypatch)
+        got = pair_sumset(outer, inner, bound)
+        assert (len(counted), got._runs, got) == (2, None, want)
 
 
 class TestUsableCpus:
@@ -599,7 +711,9 @@ class TestFoldChain:
 
     def test_numpy_chain_prepares_a_once(self, walks, monkeypatch):
         # on the numpy loop A is every fold's outer operand, and its byte
-        # offsets are built on fold 2 and read again by every later fold
+        # offsets are built from its runs on fold 2 and read again by every
+        # later fold; fold 2 reads A's bytes from its runs too, so A's mask
+        # is never built
         monkeypatch.setattr(sumset_module, "SHIFT_OR_NUMPY_WORDS", 0)
         view = PrefixBitset._byte_offsets
         reads = []
@@ -614,7 +728,7 @@ class TestFoldChain:
         folds = list(islice(sumset_folds(Explicit(points), 20_000), 5))
         assert len(reads) == 3
         assert all(bits is folds[1] and offsets is reads[0][1] for bits, offsets in reads)
-        assert walks["masked"] == [expr_runs(Explicit(points), 20_000)]
+        assert walks["masked"] == [] and folds[1]._mask is None
         monkeypatch.setattr(sumset_module, "SHIFT_OR_NUMPY_WORDS", 2**63)
         assert folds == list(islice(shift_or_folds(Explicit(points), 20_000), 5))
 
