@@ -140,8 +140,6 @@ def _density_rows(
 
 def density_sequence(expr: SetExpr, t: int, subseq: SubseqSpec) -> DensityReport:
     """Rows ``(k, n_k, (tA)(n_k), ratio)`` with exact rational ratios."""
-    if t < 0:
-        raise SemanticError(f"fold count must be >= 0, got {t}")
     terms = subseq.indexed_terms()
     fold = iterate_sumset(expr, t, terms[-1][1]).bits
     return DensityReport(_density_rows(fold, terms))

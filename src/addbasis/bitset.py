@@ -77,21 +77,22 @@ class PrefixBitset:
     """Exact membership of a set restricted to ``[0, bound]``.
 
     Held either as normalized runs (``from_runs``) or as a mask
-    (``PrefixBitset(bound, mask)``); the methods answer the same on both.  On
-    runs the queries (``in``, ``count_range``, ``first_gap``, ``gaps``,
-    ``members``, ``is_full``, ``popcount``) bisect the run starts and read
-    prefix sums of the run widths, so their cost is set by the run count, not
-    by the bound.  ``.mask`` is built from the runs only when first read (by
-    the Python-int loop of ``pair_sumset``, ``restrict`` or
-    ``complement_mask``), then cached, and so is a mask's popcount.  Two more
-    views are built on first use and cached: a bytes view, through which
-    ``n in bits`` on a mask is O(1) instead of shifting the whole mask, and
-    the members' byte offsets by residue, which the numpy shift-OR loop reads
-    when this set is its outer operand; on runs they are read from the runs.
-    Immutable after construction; safe to share between readers.
+    (``PrefixBitset(bound, mask)``), never both; the methods answer the same
+    on both.  On runs the queries (``in``, ``count_range``, ``first_gap``,
+    ``gaps``, ``members``, ``is_full``, ``popcount``) bisect the run starts
+    and read prefix sums of the run widths, so their cost is set by the run
+    count, not by the bound.  ``.mask`` of a run-backed prefix is built from
+    the runs at each read and never cached; of the sumset kernels only the
+    Python-int loop of ``pair_sumset`` reads it, on its inner operand.  A
+    mask's popcount is cached, and two more views are built on first use and
+    cached: a bytes view of a mask, through which ``n in bits`` is O(1)
+    instead of shifting the whole mask, and the members as one ascending
+    array, which the numpy shift-OR loop reads when this set is its outer
+    operand; on runs it is read from the runs.  Immutable after
+    construction; safe to share between readers.
     """
 
-    __slots__ = ("bound", "_mask", "_runs", "_starts", "_below", "_buf", "_count", "_offsets")
+    __slots__ = ("bound", "_mask", "_runs", "_starts", "_below", "_buf", "_count", "_array")
 
     def __init__(self, bound: int, mask: int):
         if bound < 0:
@@ -103,7 +104,7 @@ class PrefixBitset:
         self._runs: list[tuple[int, int]] | None = None
         self._buf: bytes | None = None
         self._count: int | None = None
-        self._offsets: list | None = None
+        self._array = None
 
     @classmethod
     def from_runs(cls, bound: int, runs: list[tuple[int, int]]) -> "PrefixBitset":
@@ -117,7 +118,7 @@ class PrefixBitset:
         self._mask = None
         self._runs = runs
         self._buf = None
-        self._offsets = None
+        self._array = None
         # run i starts at _starts[i]; _below[i] members lie in runs before it
         self._starts = starts = []
         self._below = below = [0]
@@ -135,11 +136,10 @@ class PrefixBitset:
 
     @property
     def mask(self) -> int:
-        """The bit vector; built from the runs on first read, then cached."""
-        mask = self._mask
-        if mask is None:
-            mask = self._mask = runs_mask(self._runs, self.bound)
-        return mask
+        """The bit vector; on a run-backed prefix, built from the runs at each read."""
+        if self._runs is not None:
+            return runs_mask(self._runs, self.bound)
+        return self._mask
 
     def _bytes(self) -> bytes:
         buf = self._buf
@@ -155,13 +155,12 @@ class PrefixBitset:
             return runs_bytes(self._runs, size)
         return self.mask.to_bytes(size, "little")
 
-    def _byte_offsets(self) -> list:
-        """The byte offsets ``i // 8`` of the members ``i``, as eight ascending
-        numpy arrays, one per residue ``i % 8``; built on first call from the
-        runs, or from the mask when there are none, then cached.  Imports
-        numpy."""
-        offsets = self._offsets
-        if offsets is None:
+    def _member_array(self):
+        """The members in ascending order, as one int64 numpy array; built on
+        first call from the runs, or from the mask when there are none, then
+        cached.  Imports numpy."""
+        members = self._array
+        if members is None:
             import numpy as np
 
             if self._runs is not None:
@@ -170,14 +169,13 @@ class PrefixBitset:
                 below = np.array(self._below, np.int64)
                 members = np.repeat(np.array(self._starts, np.int64) - below[:-1], np.diff(below))
                 members += np.arange(self._count)
-                offsets = [members[(members & 7) == r] >> 3 for r in range(8)]
             else:
-                packed = np.frombuffer(self.mask.to_bytes(self.bound // 8 + 1, "little"), np.uint8)
+                packed = np.frombuffer(self._mask.to_bytes(self.bound // 8 + 1, "little"), np.uint8)
                 at = np.flatnonzero(packed)
-                bits = np.unpackbits(packed[at], bitorder="little").reshape(-1, 8).view(bool)
-                offsets = [at[bits[:, r]] for r in range(8)]
-            self._offsets = offsets
-        return offsets
+                bits = np.flatnonzero(np.unpackbits(packed[at], bitorder="little"))
+                members = at[bits >> 3] * 8 + (bits & 7)
+            self._array = members
+        return members
 
     def _rank(self, i: int) -> int:
         """Members below ``i``, from the runs."""

@@ -18,7 +18,7 @@ from itertools import islice
 from pathlib import Path
 from typing import Iterator
 
-from .bitset import PrefixBitset, full_mask, iter_bits
+from .bitset import PrefixBitset, full_mask
 from .setexpr import SemanticError, SetExpr, check_bound, expr_runs, merge_runs
 
 @dataclass(frozen=True)
@@ -63,12 +63,11 @@ def pair_sumset(p: PrefixBitset, q: PrefixBitset, bound: int) -> PrefixBitset:
     accumulator region into ranges that each fold on their own CPU, if this
     process may use that many, and share nothing they write.  A fold there
     that comes close to full is finished by testing only its remaining gaps,
-    and is returned run-backed.  Smaller masks are ORed as Python ints.  On
-    numpy, the outer operand's members come from its cached byte-offset view
-    and the inner operand's bytes from its runs when it has them, so a
-    run-backed operand builds no mask; when both operands are one object
-    each pair is ORed once, by its smaller member.  ``{0} + Q`` is ``Q``
-    itself, returned without a shift or a mask.
+    and is returned run-backed.  Smaller masks are ORed as Python ints.  A
+    run-backed operand's members and bytes are read from its runs, so only
+    the Python-int loop builds a mask from runs, of its inner operand; when
+    both operands are one object each pair is ORed once, by its smaller
+    member.  ``{0} + Q`` is ``Q`` itself, returned without a shift or a mask.
     """
     if p.bound != bound or q.bound != bound:
         raise ValueError(
@@ -80,7 +79,7 @@ def pair_sumset(p: PrefixBitset, q: PrefixBitset, bound: int) -> PrefixBitset:
     if bound // 64 + 1 < SHIFT_OR_NUMPY_WORDS:
         acc = 0
         inner_mask = inner.mask
-        for a in iter_bits(outer.mask):
+        for a in outer.members():
             acc |= inner_mask << a
         return PrefixBitset(bound, acc & full_mask(bound))
     return _shift_or_words(outer, inner, bound)
@@ -90,20 +89,22 @@ def _shift_or_words(outer: PrefixBitset, inner: PrefixBitset, bound: int) -> Pre
     """``(outer + inner) ∩ [0, bound]``, the OR of ``inner`` shifted by each
     member of ``outer``, by in-place ORs of byte slices into one numpy array.
 
-    A shift by ``a`` is a byte offset of ``a // 8`` and a bit shift by
-    ``a % 8``, so the members are read grouped by residue, from ``outer``'s
-    cached ``_byte_offsets`` view.  When ``inner`` is ``outer`` itself, each
-    member ORs only ``inner``'s bytes from its own offset up, since a pair
-    whose other member lies below it is ORed by that other member; for the
-    squares at 1e7 that skips about 29% of the bytes.  The accumulator is
-    split into the word ranges of ``_split_words``, each ORed from start to
-    finish by its own thread, the calling thread included.  For each residue
-    a range's thread ORs ``inner``'s bytes at every member's offset into a
-    private buffer that covers its words and the one below them, then ORs
-    that buffer, bit shifted by the residue with the word below carrying its
-    high bits in, into its range of the accumulator.  Bytes shifted past the
-    last word fall off.  The threads read only ``inner``'s bytes, write only
-    their own range and buffers, allocate nothing and meet only when joined.
+    ``outer``'s members are read from its cached ``_member_array``, and each
+    batch of them is a slice of that array.  A shift by ``a`` is a byte
+    offset of ``a // 8`` and a bit shift by ``a % 8``, so each batch is
+    grouped by residue once, into eight ascending lists of byte offsets.
+    When ``inner`` is ``outer`` itself, each member ORs only ``inner``'s
+    bytes from its own offset up, since a pair whose other member lies below
+    it is ORed by that other member; for the squares at 1e7 that skips about
+    29% of the bytes.  The accumulator is split into the word ranges of
+    ``_split_words``, each ORed from start to finish by its own thread, the
+    calling thread included.  For each residue a range's thread ORs
+    ``inner``'s bytes at every member's offset into a private buffer that
+    covers its words and the one below them, then ORs that buffer, bit
+    shifted by the residue with the word below carrying its high bits in,
+    into its range of the accumulator.  Bytes shifted past the last word
+    fall off.  The threads read only ``inner``'s bytes, write only their own
+    range and buffers, allocate nothing and meet only when joined.
 
     A fold that may come close to full ORs the members in ascending batches
     of 1, 1, 2, 4, 8, ... and counts the accumulator's zeros after each.
@@ -119,11 +120,10 @@ def _shift_or_words(outer: PrefixBitset, inner: PrefixBitset, bound: int) -> Pre
     import numpy as np
 
     words = bound // 64 + 1
-    offsets = outer._byte_offsets()
+    members = outer._member_array()
     # a member at byte offset o ORs from byte o on, or from o + o on the same set
     reach = 2 if inner is outer else 1
-    spans = _split_words(np.concatenate(offsets) * reach, words, _usable_cpus())
-    residues = [starts.tolist() for starts in offsets]
+    spans = _split_words((members >> 3) * reach, words, _usable_cpus())
     src = np.frombuffer(inner._padded_bytes(words * 8), dtype=np.uint8)
     acc = np.zeros(words, dtype="<u8")
     # each range's buffer and carry, allocated here: a worker's own
@@ -131,21 +131,19 @@ def _shift_or_words(outer: PrefixBitset, inner: PrefixBitset, bound: int) -> Pre
     jobs = [(lo, hi, np.empty(hi - lo + 1, "<u8"), np.empty(hi - lo, "<u8")) for lo, hi in spans]
     errors: list[BaseException] = []
 
-    def work(lo: int, hi: int, buf, carry, batch: list[tuple[int, int]]) -> None:
+    def work(lo: int, hi: int, buf, carry, residues: list[list[int]]) -> None:
         # buf holds words [lo - 1, hi) of one residue's unshifted OR, carry
         # the high bits that each of them but the last carries into the next
         base, top = lo * 8 - 8, hi * 8
         buf8, part = buf.view(np.uint8), acc[lo:hi]
         try:
             for r, starts in enumerate(residues):
-                # the batch's members of this residue whose OR starts below
-                # top (a multiple of 8)
-                first, last = batch[r]
-                last = min(last, bisect_left(starts, top // reach))
-                if first >= last:
+                # this residue's members whose OR starts below top (a multiple of 8)
+                last = bisect_left(starts, top // reach)
+                if not last:
                     continue
                 buf.fill(0)
-                for o in islice(starts, first, last):
+                for o in islice(starts, last):
                     b = max(o * reach, base)
                     buf8[b - base :] |= src[b - o : top - o]
                 if r:
@@ -156,40 +154,35 @@ def _shift_or_words(outer: PrefixBitset, inner: PrefixBitset, bound: int) -> Pre
         except BaseException as exc:  # re-raised in the calling thread below
             errors.append(exc)
 
-    def fold(batch: list[tuple[int, int]]) -> None:
+    def fold(batch) -> None:
+        # the batch's byte offsets by residue, each list ascending
+        low, offsets = batch & 7, batch >> 3
+        residues = [offsets[low == r].tolist() for r in range(8)]
         # the calling thread takes the first range, so one range starts no thread
         threads = []
         try:
             for job in jobs[1:]:
-                thread = threading.Thread(target=work, args=(*job, batch))
+                thread = threading.Thread(target=work, args=(*job, residues))
                 thread.start()
                 threads.append(thread)
-            work(*jobs[0], batch)
+            work(*jobs[0], residues)
         finally:
             for thread in threads:
                 thread.join()
         if errors:
             raise errors[0]
 
-    total = sum(map(len, residues))
-    smallest = min((o[0] * 8 + r for r, o in enumerate(residues) if o), default=0)
+    total = len(members)
+    smallest = int(members[0]) if total else 0
     # zeros after the smallest member, at most: inner's gaps and every sum below it
     free = bound + 1 - inner.popcount() + smallest
     checked = free * GAP_TEST_WORDS <= total * words
-    # the members in ascending order, which the batches take in turn
-    members = None
-    if checked:
-        members = np.sort(np.concatenate([o * 8 + r for r, o in enumerate(offsets)]))
     below_bound = np.uint64((1 << (bound % 64 + 1)) - 1)  # last word's bits up to bound
-    done, folded, zeros = 0, [0] * 8, None
+    done, zeros = 0, None
     while done < total:
         end = min(max(2 * done, 1), total) if checked else total
-        if end == total:
-            upto = list(map(len, residues))
-        else:  # each residue's members among the first `end`
-            upto = np.bincount(members[:end] & 7, minlength=8).tolist()
-        fold(list(zip(folded, upto)))
-        done, folded = end, upto
+        fold(members[done:end])
+        done = end
         if done == total:
             break
         acc[-1] &= below_bound
@@ -291,7 +284,7 @@ def _quota_cpus(text: str) -> int | None:
 def _split_words(starts, words: int, cpus: int) -> list[tuple[int, int]]:
     """Contiguous ``(lo, hi)`` word ranges that cover ``[0, words)``, one per
     worker of ``_shift_or_words``, for the byte offsets ``starts`` at which
-    the members' ORs start.
+    the members' ORs start, which must be ascending.
 
     There are at most ``cpus`` ranges, and each spans at least
     ``SHIFT_OR_RANGE_WORDS`` words unless there is one, so smaller masks stay
@@ -303,7 +296,7 @@ def _split_words(starts, words: int, cpus: int) -> list[tuple[int, int]]:
     pays: a 2A + A fold at N = 3e7 took 0.62-0.67 s for squares and
     0.40-0.46 s for random points, against 0.83-1.06 s and 0.71-0.90 s on
     two equal ranges (best and median of 5, two runs, 2 vCPUs).  The running
-    total is read in closed form from the sorted start words, so a split
+    total is read in closed form from the ascending start words, so a split
     costs a bisection per cut, not a pass over the words.
     """
     import numpy as np
@@ -312,7 +305,7 @@ def _split_words(starts, words: int, cpus: int) -> list[tuple[int, int]]:
     k = min(cpus, words // floor)
     if k <= 1:
         return [(0, words)]
-    first = np.sort(starts >> 3)  # the word each member's OR starts in
+    first = starts >> 3  # the word each member's OR starts in
     below = np.concatenate(([0], np.cumsum(first)))
 
     def work(w: int) -> int:
@@ -380,20 +373,21 @@ def sumset_folds(expr: SetExpr, bound: int) -> Iterator[PrefixBitset]:
     cost at most what shift-OR costs per fold, ``|A|`` shifts x words.  These
     folds are yielded as run-backed prefixes, so a chain that stays on runs
     builds no mask at all.  Past that every fold goes through ``pair_sumset``
-    with one prefix of A's runs as an operand, so A's popcount and byte
-    offsets are each built once per chain.  The numpy loop reads A's bytes
-    and the last run fold's from their runs; only the Python-int loop builds
-    their masks, once each.  A chain that leaves runs at fold 0 gets fold 1
-    as that prefix itself (``{0} + A`` is A, with no shift) and fold 2 as
-    A + A, which ORs each pair once.  A fold that the numpy loop finishes on
-    its gaps is run-backed, so the next fold reads its bytes from its runs
-    too.  Leaving runs is final and fold 1 is A itself on either
-    kernel, so the max makes fold 1 count as fold 2, the first that does
-    work.  Both kernels are exact; the choice changes only the cost.
+    with one prefix of A's runs as an operand, so A's popcount and member
+    array are each built once per chain, and only the Python-int loop builds
+    a mask from runs, of its inner operand: A's on A + A, else the last run
+    fold's.  A chain that leaves runs at fold 0 gets fold 1 as that prefix
+    itself (``{0} + A`` is A, with no shift) and fold 2 as A + A, which ORs
+    each pair once.  A fold that the numpy loop finishes on its gaps is
+    run-backed, so the next fold reads its bytes from its runs too.  Leaving
+    runs is final and fold 1 is A itself on either kernel, so the max makes
+    fold 1 count as fold 2, the first that does work.  Both kernels are
+    exact; the choice changes only the cost.
     """
     check_bound(bound)
     base_runs = expr_runs(expr, bound)
-    shift_or_words = sum(hi - lo + 1 for lo, hi in base_runs) * (bound // 64 + 1)
+    base = PrefixBitset.from_runs(bound, base_runs)
+    shift_or_words = base.popcount() * (bound // 64 + 1)
     runs = [(0, 0)]
     bits = PrefixBitset.from_runs(bound, runs)
     yield bits
@@ -401,7 +395,6 @@ def sumset_folds(expr: SetExpr, bound: int) -> Iterator[PrefixBitset]:
         runs = run_sumset(runs, base_runs, bound)
         bits = PrefixBitset.from_runs(bound, runs)
         yield bits
-    base = PrefixBitset.from_runs(bound, base_runs)
     while True:
         bits = pair_sumset(bits, base, bound)
         yield bits
@@ -433,8 +426,6 @@ def representation_count(expr: SetExpr, h: int, n: int) -> int:
         raise ValueError(f"fold count must be >= 1, got {h}")
     check_bound(n)
     runs = expr_runs(expr, n)
-    if h == 1:
-        return 1 if runs and runs[-1][1] == n else 0
     if not runs:
         return 0
     los = [lo for lo, _ in runs]

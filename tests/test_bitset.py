@@ -55,11 +55,39 @@ def test_membership_and_members(elements):
 def test_views_are_built_once():
     bits = PrefixBitset(2000, sum(1 << i for i in (3, 9, 10, 17, 1999)))
     assert bits.popcount() == 5
-    offsets = bits._byte_offsets()
+    members = bits._member_array()
     # a second read of either view answers from the first, not from the mask
     bits._mask = 0
     assert bits.popcount() == 5
-    assert bits._byte_offsets() is offsets
+    assert bits._member_array() is members
+
+
+@pytest.mark.parametrize(
+    "bound, members",
+    [
+        (0, []),
+        (0, [0]),
+        (100, []),
+        (100, [0, 100]),  # at 0 and at the bound
+        (100, [0, 1, 2, 7, 8, 63, 64, 96, 97, 99, 100]),  # 96-100 share the last byte
+        (1023, [5, *range(1016, 1024)]),  # a full last byte
+        (5000, [*range(0, 40), 4999, 5000]),  # a run across bytes
+    ],
+)
+def test_member_array_is_ascending_on_runs_and_masks(bound, members):
+    masked = PrefixBitset(bound, sum(1 << i for i in members))
+    runs = PrefixBitset.from_runs(bound, expr_runs(Explicit(tuple(members)), bound))
+    for bits in (runs, masked):
+        array = bits._member_array()
+        assert array.dtype == "int64" and array.tolist() == members
+
+
+def test_mask_of_runs_is_not_kept():
+    bits = PrefixBitset.from_runs(100, [(0, 3), (50, 100)])
+    want = sum(1 << i for i in (*range(0, 4), *range(50, 101)))
+    assert bits.mask == want and bits.mask == want
+    # each read builds the mask afresh, so a prefix holds runs or a mask, never both
+    assert bits._mask is None
 
 
 def test_mask_above_bound_rejected():
@@ -174,9 +202,7 @@ def test_run_backed_matches_mask(case):
     assert runs == masked and masked == runs
     assert runs != PrefixBitset.from_runs(bound + 1, expr_runs(expr, bound))
     assert runs.mask == masked.mask
-    by_residue = [[i // 8 for i in sorted(members) if i % 8 == r] for r in range(8)]
-    assert [o.tolist() for o in runs._byte_offsets()] == by_residue
-    assert [o.tolist() for o in masked._byte_offsets()] == by_residue
+    assert runs._member_array().tolist() == masked._member_array().tolist() == sorted(members)
     size = bound // 8 + 9
     assert runs._padded_bytes(size) == masked._padded_bytes(size) == masked.mask.to_bytes(size, "little")
 

@@ -640,8 +640,9 @@ class TestKernelSelection:
         assert got.to_list() == [0, 3, 6, 9, 12]
 
 
-# every module that binds runs_mask: masks are built by materialize and
-# lazily by a run-backed prefix whose .mask is read, the chain's A included
+# every module that binds runs_mask: masks are built by materialize and by
+# a run-backed prefix at each read of its .mask, which only the Python-int
+# loop makes, on its inner operand
 MASK_BINDINGS = (bitset_module, setexpr_module)
 
 
@@ -668,7 +669,8 @@ def walks(monkeypatch):
 
 class TestFoldChain:
     """One walk of A per chain; no mask while the chain stays on runs, and
-    only A's and the last run fold's once it leaves them."""
+    once it leaves them only the Python-int loop's inner operand's: A's on
+    A + A, else the last run fold's."""
 
     def test_run_chain_walks_a_once(self, walks, kernel_calls):
         folds = list(islice(sumset_folds(COUNTEREXAMPLE, 210_000), 4))
@@ -704,35 +706,36 @@ class TestFoldChain:
         # shift; fold 2 adds it to itself, and fold 3 to fold 2
         a = folds[1]
         assert [(p is folds[h], q is a) for h, (p, q) in enumerate(seen)] == [(True, True)] * 3
-        # so the only mask built is A's, read by fold 2 and kept for fold 3
+        # so the only mask built is A's, read by fold 2 as its inner operand;
+        # fold 3 lists A's members from its runs
         a_runs = expr_runs(Explicit(points), 20_000)
         assert walks["masked"] == [a_runs]
         assert folds == list(islice(shift_or_folds(Explicit(points), 20_000), 4))
 
     def test_numpy_chain_prepares_a_once(self, walks, monkeypatch):
-        # on the numpy loop A is every fold's outer operand, and its byte
-        # offsets are built from its runs on fold 2 and read again by every
+        # on the numpy loop A is every fold's outer operand, and its member
+        # array is built from its runs on fold 2 and read again by every
         # later fold; fold 2 reads A's bytes from its runs too, so A's mask
         # is never built
         monkeypatch.setattr(sumset_module, "SHIFT_OR_NUMPY_WORDS", 0)
-        view = PrefixBitset._byte_offsets
+        view = PrefixBitset._member_array
         reads = []
 
         def read(bits):
-            offsets = view(bits)
-            reads.append((bits, offsets))
-            return offsets
+            members = view(bits)
+            reads.append((bits, members))
+            return members
 
-        monkeypatch.setattr(PrefixBitset, "_byte_offsets", read)
+        monkeypatch.setattr(PrefixBitset, "_member_array", read)
         points = (0, 1, 7, 30, 31, 90, 400, 401, 1000, 2500, 7000, 9999)
         folds = list(islice(sumset_folds(Explicit(points), 20_000), 5))
         assert len(reads) == 3
-        assert all(bits is folds[1] and offsets is reads[0][1] for bits, offsets in reads)
+        assert all(bits is folds[1] and members is reads[0][1] for bits, members in reads)
         assert walks["masked"] == [] and folds[1]._mask is None
         monkeypatch.setattr(sumset_module, "SHIFT_OR_NUMPY_WORDS", 2**63)
         assert folds == list(islice(shift_or_folds(Explicit(points), 20_000), 5))
 
-    def test_chain_leaving_runs_builds_two_masks(self, walks, kernel_calls):
+    def test_chain_leaving_runs_builds_one_mask(self, walks, kernel_calls):
         # four runs of width 20 at 20,000: folds 1 and 2 on runs, then 2A's
         # ten runs make fold 3 cheaper on shift-OR
         blocks = [Interval(lo, lo + 19) for lo in (0, 1000, 3000, 7000)]
@@ -744,8 +747,9 @@ class TestFoldChain:
         want = [[(0, 0)]]
         for _ in range(4):
             want.append(run_sumset(want[-1], a_runs, 20_000))
-        # fold 2's mask and A's, which the first shift-OR fold reads
-        assert walks["masked"] == [want[2], a_runs]
+        # only fold 2's mask, the first shift-OR fold's inner operand; that
+        # fold and the next list A's members from its runs
+        assert walks["masked"] == [want[2]]
         assert folds == [PrefixBitset.from_runs(20_000, runs) for runs in want]
 
     def test_counterexample_verify_builds_no_mask(self, monkeypatch):
