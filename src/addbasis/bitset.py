@@ -30,14 +30,17 @@ def full_mask(bound: int) -> int:
     return (1 << (bound + 1)) - 1
 
 
-def runs_bytes(runs: Sequence[tuple[int, int]], size: int) -> bytearray:
+def runs_bytes(runs: Sequence[tuple[int, int]], size: int, out=None):
     """The little-endian bit bytes of the disjoint sorted runs ``(lo, hi)``,
-    ``size`` bytes long, which must hold the last run's ``hi``.
+    ``size`` bytes long, which must hold the last run's ``hi``: a new
+    bytearray, or ``out``, a zeroed numpy uint8 array of ``size`` bytes,
+    written in place and returned.
 
     O(size + runs): ORing one big integer per run would copy the whole mask
-    per run.
+    per run.  In ``out`` a run's middle bytes are filled in place; in a
+    bytearray they are copied from a temporary of their length.
     """
-    buf = bytearray(size)
+    buf = bytearray(size) if out is None else memoryview(out)
     for lo, hi in runs:
         a, b = lo >> 3, hi >> 3
         if a == b:
@@ -46,9 +49,12 @@ def runs_bytes(runs: Sequence[tuple[int, int]], size: int) -> bytearray:
             # disjoint runs share at most their edge bytes, so the middle
             # bytes can be overwritten
             buf[a] |= (0xFF << (lo & 7)) & 0xFF
-            buf[a + 1 : b] = b"\xff" * (b - a - 1)
+            if out is None:
+                buf[a + 1 : b] = b"\xff" * (b - a - 1)
+            else:
+                out[a + 1 : b] = 0xFF
             buf[b] |= 0xFF >> (7 - (hi & 7))
-    return buf
+    return buf if out is None else out
 
 
 def runs_mask(runs: Sequence[tuple[int, int]], bound: int) -> int:
@@ -148,12 +154,15 @@ class PrefixBitset:
             self._buf = buf
         return buf
 
-    def _padded_bytes(self, size: int) -> bytes | bytearray:
-        """The little-endian bit bytes, ``size >= bound // 8 + 1`` bytes long;
-        from the runs without building the mask when run-backed."""
+    def _padded_bytes(self, size: int):
+        """The little-endian bit bytes, ``size >= bound // 8 + 1`` bytes long,
+        as a numpy uint8 array; from the runs without building the mask when
+        run-backed.  Imports numpy."""
+        import numpy as np
+
         if self._runs is not None:
-            return runs_bytes(self._runs, size)
-        return self.mask.to_bytes(size, "little")
+            return runs_bytes(self._runs, size, np.zeros(size, np.uint8))
+        return np.frombuffer(self.mask.to_bytes(size, "little"), np.uint8)
 
     def _member_array(self):
         """The members in ascending order, as one int64 numpy array; built on

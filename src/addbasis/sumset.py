@@ -52,27 +52,38 @@ SHIFT_OR_NUMPY_WORDS = 1024
 SHIFT_OR_RANGE_WORDS = 65536
 
 
-def pair_sumset(p: PrefixBitset, q: PrefixBitset, bound: int) -> PrefixBitset:
+def pair_sumset(
+    p: PrefixBitset, q: PrefixBitset, bound: int, *, folds: int | None = None
+) -> PrefixBitset:
     """Exact ``(P + Q) ∩ [0, bound]``; both operands must be bounded at ``bound``.
 
     ORs one operand's bit vector shifted by each member of the other; the
     kernel iterates over the sparser side since cost is popcount x words
     (tie broken toward the left operand; the result is identical either way).
+    ``folds``, when given, states that ``P`` is the ``folds``-fold sumset of
+    ``Q`` (``0Q`` is ``{0}``), as ``sumset_folds`` passes it; ``P is Q``
+    states the same for 1.  Nothing checks the statement: a wrong one gives
+    a wrong sumset, and a negative count is refused.
     Masks of ``SHIFT_OR_NUMPY_WORDS`` words or more are ORed in place into a
     numpy array (``_shift_or_words``): one byte slice per member, split by
     accumulator region into ranges that each fold on their own CPU, if this
-    process may use that many, and share nothing they write.  A fold there
-    that comes close to full is finished by testing only its remaining gaps,
-    and is returned run-backed.  Smaller masks are ORed as Python ints.  A
-    run-backed operand's members and bytes are read from its runs, so only
-    the Python-int loop builds a mask from runs, of its inner operand; when
-    both operands are one object each pair is ORed once, by its smaller
-    member.  ``{0} + Q`` is ``Q`` itself, returned without a shift or a mask.
+    process may use that many, and share nothing they write.  There, when
+    the outer operand is ``Q`` and the inner one a known fold of it, each
+    member ORs only a window of the fold: the part that the sums in which it
+    holds the largest parts can use, or the smallest, whichever is shorter
+    in all.  A fold there that comes close to full is finished by testing
+    only its remaining gaps, and is returned run-backed.  Smaller masks are ORed
+    whole, as Python ints.  A run-backed operand's members and bytes are
+    read from its runs, so only the Python-int loop builds a mask from runs,
+    of its inner operand.  ``{0} + Q`` is ``Q`` itself, returned without a
+    shift or a mask.
     """
     if p.bound != bound or q.bound != bound:
         raise ValueError(
             f"bound mismatch: operands bounded at {p.bound} and {q.bound}, need {bound}"
         )
+    if folds is not None and folds < 0:
+        raise ValueError(f"folds must be at least 0, got {folds}")
     outer, inner = (p, q) if p.popcount() <= q.popcount() else (q, p)
     if outer.popcount() == 1 and 0 in outer:  # {0} + Q is Q, shifted by nothing
         return inner
@@ -82,70 +93,114 @@ def pair_sumset(p: PrefixBitset, q: PrefixBitset, bound: int) -> PrefixBitset:
         for a in outer.members():
             acc |= inner_mask << a
         return PrefixBitset(bound, acc & full_mask(bound))
-    return _shift_or_words(outer, inner, bound)
+    k = 1 if p is q else folds
+    if k is not None and outer is q:  # inner is kQ, split by each member c at kc
+        k = min(k, bound + 1)  # a k past the bound splits past it too
+    else:  # a fold that is the sparser operand ORs all of Q
+        k = None
+    return _shift_or_words(outer, inner, bound, k)
 
 
-def _shift_or_words(outer: PrefixBitset, inner: PrefixBitset, bound: int) -> PrefixBitset:
+def _shift_or_words(
+    outer: PrefixBitset, inner: PrefixBitset, bound: int, k: int | None
+) -> PrefixBitset:
     """``(outer + inner) ∩ [0, bound]``, the OR of ``inner`` shifted by each
     member of ``outer``, by in-place ORs of byte slices into one numpy array.
 
-    ``outer``'s members are read from its cached ``_member_array``, and each
-    batch of them is a slice of that array.  A shift by ``a`` is a byte
-    offset of ``a // 8`` and a bit shift by ``a % 8``, so each batch is
-    grouped by residue once, into eight ascending lists of byte offsets.
-    When ``inner`` is ``outer`` itself, each member ORs only ``inner``'s
-    bytes from its own offset up, since a pair whose other member lies below
-    it is ORed by that other member; for the squares at 1e7 that skips about
-    29% of the bytes.  The accumulator is split into the word ranges of
-    ``_split_words``, each ORed from start to finish by its own thread, the
-    calling thread included.  For each residue a range's thread ORs
-    ``inner``'s bytes at every member's offset into a private buffer that
-    covers its words and the one below them, then ORs that buffer, bit
-    shifted by the residue with the word below carrying its high bits in,
-    into its range of the accumulator.  Bytes shifted past the last word
-    fall off.  The threads read only ``inner``'s bytes, write only their own
-    range and buffers, allocate nothing and meet only when joined.
+    ``outer``'s members are read from its cached ``_member_array()``, and
+    each batch of them is a slice of that array, grouped by residue once into
+    eight ascending lists.  A shift by ``a`` is a byte offset of ``a // 8``
+    and a bit shift by ``a % 8``, and member ``a`` ORs one window of
+    ``inner``'s bytes onto the target bytes from that offset up.  When
+    ``inner`` is the ``k``-fold sumset of ``outer``, ``a`` splits it at
+    ``s = k * a``.  Counting a member of that sumset as its k parts, a sum in
+    which ``a`` holds the smallest parts uses ``inner``'s members from ``s``
+    up, and one in which it holds the largest parts uses those up to ``s``.
+    Every sum has
+    both, so either window alone is exact, and a single-batch fold takes the
+    one with fewer bytes in all, in closed form from the member array.  For
+    the squares at 1e7 that is the largest-part window, which ORs about 0.41
+    of the bytes of A + A and 0.42 of those of 2A + A.  With ``k`` None
+    every member ORs all of ``inner``.  Both kinds of window start and end
+    in the order of the members.
+
+    The accumulator is split into the word ranges of ``_split_words``, each
+    ORed from start to finish by its own thread, the calling thread
+    included.  For each residue a range's thread ORs ``inner``'s bytes over
+    every member's window into a private buffer that covers its words and
+    the one below them, then ORs that buffer, bit shifted by the residue
+    with the word below carrying its high bits in, into its range of the
+    accumulator.  Bytes shifted past the last word fall off.  The threads
+    read only ``inner``'s bytes, write only their own range and buffers,
+    allocate nothing and meet only when joined.
 
     A fold that may come close to full ORs the members in ascending batches
-    of 1, 1, 2, 4, 8, ... and counts the accumulator's zeros after each.
-    Once at most one zero per ``GAP_TEST_WORDS`` words is left, testing the
-    zeros against the remaining members costs less than ORing those, so the
-    fold ends in ``_gap_runs`` and returns run-backed, and the accumulator is
-    never converted to an int.  After its smallest member a fold has at most
-    ``inner``'s gaps plus that member's value as zeros; it takes the
-    checkpoints only if that count, halved at each doubling of the members,
-    would reach the switch by the last member, and it stops taking them once
-    a doubling fails to halve the zeros.  Any other fold is a single batch.
+    of 1, 1, 2, 4, 8, ... with smallest-part windows, and counts the
+    accumulator's zeros after each; its last batch, if it reaches one, takes
+    the cheaper window, since a sum whose smallest parts no earlier batch
+    held has its largest parts there.  Once at most one zero per
+    ``GAP_TEST_WORDS`` words is left, testing the zeros against the
+    remaining members costs less than ORing those, so the fold ends in
+    ``_gap_runs`` and returns run-backed, and the accumulator is never
+    converted to an int.  After its smallest member a fold has at most
+    ``inner``'s gaps, that member's value and its split point as zeros; it
+    takes the checkpoints only if that count, halved at each doubling of the
+    members, would reach the switch by the last member, and it stops taking
+    them once a doubling fails to halve the zeros.  Any other fold is a
+    single batch.
     """
     import numpy as np
 
     words = bound // 64 + 1
+    size = words * 8
     members = outer._member_array()
-    # a member at byte offset o ORs from byte o on, or from o + o on the same set
-    reach = 2 if inner is outer else 1
-    spans = _split_words((members >> 3) * reach, words, _usable_cpus())
-    src = np.frombuffer(inner._padded_bytes(words * 8), dtype=np.uint8)
+    total = len(members)
+    mul = k or 0  # with no k each split point is 0, and each window all of inner
+
+    def window(a: int, largest: bool) -> tuple[int, int]:
+        # the target bytes [start, end) that member a ORs: from its split
+        # point up, or from its offset to just past its split point
+        o = a >> 3
+        at = o + (a * mul >> 3)
+        return (o, at + 1) if largest else (at, size)
+
+    # the same windows for every member at once, clipped to the accumulator
+    offsets = members >> 3
+    at = np.minimum(offsets + (members * mul >> 3), size)
+    past = np.minimum(at + 1, size)
+    largest = k is not None and int((past - offsets).sum()) < int((size - at).sum())
+    starts, ends = (offsets, past) if largest else (at, np.full(total, size))
+    spans = _split_words(starts, ends, words, _usable_cpus())
+    del offsets, at, past, starts, ends  # not held while the fold allocates
+    smallest = int(members[0]) if total else 0
+    # zeros after the smallest member, at most: inner's gaps, every sum below
+    # it and inner's members below its split point
+    free = bound + 1 - inner.popcount() + smallest + smallest * mul
+    checked = free * GAP_TEST_WORDS <= total * words
+    src = inner._padded_bytes(size)
     acc = np.zeros(words, dtype="<u8")
     # each range's buffer and carry, allocated here: a worker's own
     # allocations would each take a malloc arena
     jobs = [(lo, hi, np.empty(hi - lo + 1, "<u8"), np.empty(hi - lo, "<u8")) for lo, hi in spans]
     errors: list[BaseException] = []
 
-    def work(lo: int, hi: int, buf, carry, residues: list[list[int]]) -> None:
+    def work(lo: int, hi: int, buf, carry, residues: list[list[int]], largest: bool) -> None:
         # buf holds words [lo - 1, hi) of one residue's unshifted OR, carry
         # the high bits that each of them but the last carries into the next
         base, top = lo * 8 - 8, hi * 8
         buf8, part = buf.view(np.uint8), acc[lo:hi]
         try:
-            for r, starts in enumerate(residues):
-                # this residue's members whose OR starts below top (a multiple of 8)
-                last = bisect_left(starts, top // reach)
-                if not last:
+            for r, group in enumerate(residues):
+                # this residue's members whose windows end above base and start below top
+                first = bisect_right(group, base, key=lambda a: window(a, largest)[1])
+                last = bisect_left(group, top, key=lambda a: window(a, largest)[0])
+                if first >= last:
                     continue
                 buf.fill(0)
-                for o in islice(starts, last):
-                    b = max(o * reach, base)
-                    buf8[b - base :] |= src[b - o : top - o]
+                for a in islice(group, first, last):
+                    b, e = window(a, largest)
+                    b, e, o = max(b, base), min(e, top), a >> 3
+                    buf8[b - base : e - base] |= src[b - o : e - o]
                 if r:
                     np.right_shift(buf[:-1], 64 - r, out=carry)
                     part |= carry
@@ -154,34 +209,29 @@ def _shift_or_words(outer: PrefixBitset, inner: PrefixBitset, bound: int) -> Pre
         except BaseException as exc:  # re-raised in the calling thread below
             errors.append(exc)
 
-    def fold(batch) -> None:
-        # the batch's byte offsets by residue, each list ascending
-        low, offsets = batch & 7, batch >> 3
-        residues = [offsets[low == r].tolist() for r in range(8)]
+    def fold(batch, largest: bool) -> None:
+        # the batch's members by residue, each list ascending
+        low = batch & 7
+        residues = [batch[low == r].tolist() for r in range(8)]
         # the calling thread takes the first range, so one range starts no thread
         threads = []
         try:
             for job in jobs[1:]:
-                thread = threading.Thread(target=work, args=(*job, residues))
+                thread = threading.Thread(target=work, args=(*job, residues, largest))
                 thread.start()
                 threads.append(thread)
-            work(*jobs[0], residues)
+            work(*jobs[0], residues, largest)
         finally:
             for thread in threads:
                 thread.join()
         if errors:
             raise errors[0]
 
-    total = len(members)
-    smallest = int(members[0]) if total else 0
-    # zeros after the smallest member, at most: inner's gaps and every sum below it
-    free = bound + 1 - inner.popcount() + smallest
-    checked = free * GAP_TEST_WORDS <= total * words
     below_bound = np.uint64((1 << (bound % 64 + 1)) - 1)  # last word's bits up to bound
     done, zeros = 0, None
     while done < total:
         end = min(max(2 * done, 1), total) if checked else total
-        fold(members[done:end])
+        fold(members[done:end], largest and end == total)
         done = end
         if done == total:
             break
@@ -281,23 +331,25 @@ def _quota_cpus(text: str) -> int | None:
     return max(1, -(-quota // period))
 
 
-def _split_words(starts, words: int, cpus: int) -> list[tuple[int, int]]:
+def _split_words(starts, ends, words: int, cpus: int) -> list[tuple[int, int]]:
     """Contiguous ``(lo, hi)`` word ranges that cover ``[0, words)``, one per
-    worker of ``_shift_or_words``, for the byte offsets ``starts`` at which
-    the members' ORs start, which must be ascending.
+    worker of ``_shift_or_words``, for the target byte windows
+    ``[starts[i], ends[i])`` that the members OR, whose starts and ends must
+    each be ascending.
 
     There are at most ``cpus`` ranges, and each spans at least
     ``SHIFT_OR_RANGE_WORDS`` words unless there is one, so smaller masks stay
-    on one thread.  A member ORs every byte from its start up, so the OR work
-    at a word grows with the starts below it; the cuts split the running
-    total of that work evenly, then move apart to the least span.  On two
-    CPUs the least span holds the cut up to about N = 1e7 for cubes, 1.2e7
-    for squares and 1.5e7 for sqrt(N) random points; above that the balance
-    pays: a 2A + A fold at N = 3e7 took 0.62-0.67 s for squares and
+    on one thread.  The OR work at a word is the number of windows that hold
+    it, so the work below a word grows with the starts below it and shrinks
+    with the ends; the cuts split the running total of that work evenly,
+    then move apart to the least span.  On two CPUs the least span held the
+    cut up to about N = 1e7 for cubes, 1.2e7 for squares and 1.5e7 for
+    sqrt(N) random points when every window ran to the end; above that the
+    balance pays: a 2A + A fold at N = 3e7 took 0.62-0.67 s for squares and
     0.40-0.46 s for random points, against 0.83-1.06 s and 0.71-0.90 s on
     two equal ranges (best and median of 5, two runs, 2 vCPUs).  The running
-    total is read in closed form from the ascending start words, so a split
-    costs a bisection per cut, not a pass over the words.
+    total is read in closed form from the ascending start and end words, so
+    a split costs a bisection per cut, not a pass over the words.
     """
     import numpy as np
 
@@ -305,13 +357,16 @@ def _split_words(starts, words: int, cpus: int) -> list[tuple[int, int]]:
     k = min(cpus, words // floor)
     if k <= 1:
         return [(0, words)]
-    first = starts >> 3  # the word each member's OR starts in
-    below = np.concatenate(([0], np.cumsum(first)))
+    first, last = starts >> 3, (ends + 7) >> 3  # each window's first word and the word past it
+    below_first = np.concatenate(([0], np.cumsum(first)))
+    below_last = np.concatenate(([0], np.cumsum(last)))
 
     def work(w: int) -> int:
-        # words ORed in [0, w]: each start word q <= w adds w + 1 - q
+        # words ORed in [0, w]: each first word q <= w adds w + 1 - q, and
+        # each end word q <= w takes w + 1 - q back
         c = int(np.searchsorted(first, w, "right"))
-        return c * (w + 1) - int(below[c])
+        d = int(np.searchsorted(last, w, "right"))
+        return c * (w + 1) - int(below_first[c]) - d * (w + 1) + int(below_last[d])
 
     total = work(words - 1)
     cuts = [0]
@@ -341,10 +396,15 @@ def run_sumset(
 
     The sum of two runs is the run of their endpoint sums, so ``R + S`` is the
     normalized union of the ``|R|·|S|`` pairwise run sums: exact, at a cost
-    set by the run counts rather than by the bound.  Each run of S shifts R
-    into an ascending stream, and the streams are merged lazily, so the pair
-    sums are never all held at once.
+    set by the run counts rather than by the bound.  Each run of the operand
+    with fewer runs shifts the other into an ascending stream, and the
+    streams are merged lazily, so the pair sums are never all held at once.
+    ``{0} + R`` is ``R`` clipped to the bound, copied without a merge.
     """
+    if len(r) < len(s):
+        r, s = s, r
+    if s == [(0, 0)]:
+        return list(_shifted_runs(r, 0, 0, bound))
     return merge_runs(heapq.merge(*(_shifted_runs(r, c, d, bound) for c, d in s)))
 
 
@@ -376,13 +436,15 @@ def sumset_folds(expr: SetExpr, bound: int) -> Iterator[PrefixBitset]:
     with one prefix of A's runs as an operand, so A's popcount and member
     array are each built once per chain, and only the Python-int loop builds
     a mask from runs, of its inner operand: A's on A + A, else the last run
-    fold's.  A chain that leaves runs at fold 0 gets fold 1 as that prefix
-    itself (``{0} + A`` is A, with no shift) and fold 2 as A + A, which ORs
-    each pair once.  A fold that the numpy loop finishes on its gaps is
-    run-backed, so the next fold reads its bytes from its runs too.  Leaving
-    runs is final and fold 1 is A itself on either kernel, so the max makes
-    fold 1 count as fold 2, the first that does work.  Both kernels are
-    exact; the choice changes only the cost.
+    fold's.  Each call passes ``folds=h - 1``, counting the run folds too, so
+    where A is the sparser operand the numpy loop ORs each of its members
+    over one window of the fold.  A chain that leaves runs at fold 0 gets fold 1 as that
+    prefix itself (``{0} + A`` is A, with no shift) and fold 2 as A + A.  A
+    fold that the numpy loop finishes on its gaps is run-backed, so the next
+    fold reads its bytes from its runs too.  Leaving runs is final and fold
+    1 is A itself on either kernel (``run_sumset`` returns A's runs for
+    ``{0} + A``), so the max makes fold 1 count as fold 2, the first that
+    does work.  Both kernels are exact; the choice changes only the cost.
     """
     check_bound(bound)
     base_runs = expr_runs(expr, bound)
@@ -390,13 +452,16 @@ def sumset_folds(expr: SetExpr, bound: int) -> Iterator[PrefixBitset]:
     shift_or_words = base.popcount() * (bound // 64 + 1)
     runs = [(0, 0)]
     bits = PrefixBitset.from_runs(bound, runs)
+    h = 0  # bits is hA
     yield bits
     while max(len(runs), len(base_runs)) * len(base_runs) * RUN_PAIR_WORDS <= shift_or_words:
         runs = run_sumset(runs, base_runs, bound)
         bits = PrefixBitset.from_runs(bound, runs)
+        h += 1
         yield bits
     while True:
-        bits = pair_sumset(bits, base, bound)
+        bits = pair_sumset(bits, base, bound, folds=h)
+        h += 1
         yield bits
 
 

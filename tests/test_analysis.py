@@ -237,8 +237,8 @@ class TestHypothesisProbe:
     def test_folds_once(self, monkeypatch):
         calls = []
 
-        def counted(*args):
-            calls.append((*args, pair_sumset(*args)))
+        def counted(*args, **kwargs):
+            calls.append((*args, pair_sumset(*args, **kwargs)))
             return calls[-1][-1]
 
         monkeypatch.setattr(sumset_module, "pair_sumset", counted)

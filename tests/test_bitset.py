@@ -204,7 +204,8 @@ def test_run_backed_matches_mask(case):
     assert runs.mask == masked.mask
     assert runs._member_array().tolist() == masked._member_array().tolist() == sorted(members)
     size = bound // 8 + 9
-    assert runs._padded_bytes(size) == masked._padded_bytes(size) == masked.mask.to_bytes(size, "little")
+    padded = (runs._padded_bytes(size).tobytes(), masked._padded_bytes(size).tobytes())
+    assert padded == (masked.mask.to_bytes(size, "little"),) * 2
 
 
 @pytest.mark.parametrize(

@@ -256,7 +256,9 @@ class TestExitCodes:
         import addbasis.sumset as sumset_module
 
         kernel = sumset_module.pair_sumset
-        monkeypatch.setattr(sumset_module, "pair_sumset", lambda p, q, bound: kernel(p, q, bound + 1))
+        monkeypatch.setattr(
+            sumset_module, "pair_sumset", lambda p, q, bound, **k: kernel(p, q, bound + 1, **k)
+        )
         code, out, err = run_cli(capsys, "order", "--set", "squares", "--bound", "100", "--hmax", "4")
         assert (code, out) == (3, "")
         assert err.startswith("error: internal failure: bound mismatch")

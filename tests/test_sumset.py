@@ -83,6 +83,11 @@ class TestPairSumset:
         with pytest.raises(ValueError, match="bound mismatch"):
             pair_sumset(q, p, 5)
 
+    def test_negative_fold_count(self):
+        q = materialize(Explicit((0, 1)), 9)
+        with pytest.raises(ValueError, match="folds must be at least 0"):
+            pair_sumset(q, q, 9, folds=-1)
+
     @given(set_exprs, set_exprs, st.integers(0, 300))
     def test_commutes(self, a, b, bound):
         p = materialize(a, bound)
@@ -204,9 +209,10 @@ class TestShiftOrLoops:
         assert folds == {cpus: ints for cpus in (2, 3, 5)}
 
     def test_same_set_loop_matches_ints(self, monkeypatch):
-        # pair_sumset(p, p) on numpy ORs each pair once, from its smaller
-        # member; sets with members at all 8 residues and above bound / 2,
-        # folded on 1, 2 and 3 ranges of InlineThread
+        # pair_sumset(p, p) on numpy ORs each pair from its smaller member
+        # or from its larger one, whichever ORs fewer bytes in all; sets with
+        # members at all 8 residues and above bound / 2, folded on 1, 2 and
+        # 3 ranges of InlineThread
         rng = random.Random(13)
         bound = 64 * 40 - 1
         spread = sum(1 << (8 * i + r) for r in range(8) for i in (0, 3, 150, 200, 319))
@@ -223,9 +229,9 @@ class TestShiftOrLoops:
         split = sumset_module._split_words
         splits = []
 
-        def split_seen(starts, words, cpus):
-            spans = split(starts, words, cpus)
-            splits.append((sorted(starts.tolist()), spans))
+        def split_seen(starts, ends, words, cpus):
+            spans = split(starts, ends, words, cpus)
+            splits.append(((starts.tolist(), ends.tolist()), spans))
             return spans
 
         monkeypatch.setattr(sumset_module, "_split_words", split_seen)
@@ -242,10 +248,20 @@ class TestShiftOrLoops:
         caller.join(timeout=60)
         assert not caller.is_alive(), "a range waited on another"
         assert folds == {cpus: ints for cpus in (1, 2, 3)}
-        # each member's OR starts at twice its byte offset, and the ranges
-        # are split for that work
-        want = [sorted(2 * (a // 8) for a in p.members()) for p in sets]
-        assert [starts for starts, _ in splits] == want * 3
+        # a member at byte offset o ORs the target bytes from 2o to the end,
+        # as the smaller member of its pairs, or from o to 2o, as the larger
+        # one, and the ranges are split for that work
+        size = (bound // 64 + 1) * 8
+        want, larger_wins = [], []
+        for p in sets:
+            offsets = [a // 8 for a in p.members()]
+            smaller = ([min(2 * o, size) for o in offsets], [size] * len(offsets))
+            larger = (offsets, [min(2 * o + 1, size) for o in offsets])
+            cost = [sum(e - s for s, e in zip(*windows)) for windows in (smaller, larger)]
+            larger_wins.append(cost[1] < cost[0])
+            want.append(larger if larger_wins[-1] else smaller)
+        assert True in larger_wins and False in larger_wins
+        assert [windows for windows, _ in splits] == want * 3
         assert [len(spans) for _, spans in splits] == [1] * len(sets) + [2] * len(sets) + [3] * len(sets)
 
     def test_numpy_loop_memory(self, monkeypatch):
@@ -294,9 +310,15 @@ class TestShiftOrLoops:
 
     @given(st.integers(1, 8 * SHIFT_OR_RANGE_WORDS), st.integers(1, 16), st.data())
     def test_word_ranges_cover(self, words, cpus, data):
-        picks = data.draw(st.lists(st.integers(0, words * 8 - 1), max_size=50))
-        starts = np.array(sorted(picks), dtype=np.int64)
-        spans = sumset_module._split_words(starts, words, cpus)
+        # byte windows [start, end) with ascending starts and ends, as the
+        # members OR them
+        picks = sorted(data.draw(st.lists(st.integers(0, words * 8 - 1), max_size=50)))
+        n = len(picks)
+        tops = sorted(data.draw(st.lists(st.integers(1, words * 8), min_size=n, max_size=n)))
+        ends_at = [max(s + 1, e) for s, e in zip(picks, tops)]
+        starts = np.array(picks, dtype=np.int64)
+        ends = np.array(ends_at, dtype=np.int64)
+        spans = sumset_module._split_words(starts, ends, words, cpus)
         k = len(spans)
         assert k == max(1, min(cpus, words // SHIFT_OR_RANGE_WORDS))
         assert spans[0][0] == 0 and spans[-1][1] == words
@@ -305,8 +327,8 @@ class TestShiftOrLoops:
             assert all(hi - lo >= SHIFT_OR_RANGE_WORDS for lo, hi in spans)
 
         def work_below(cut):
-            # words ORed below `cut`: a member ORs every word from its own up
-            return sum(max(0, cut - (o >> 3)) for o in picks)
+            # words ORed below `cut`: a window ORs every word it touches
+            return sum(max(0, min(cut, -(-e // 8)) - (s >> 3)) for s, e in zip(picks, ends_at))
 
         # each inner cut splits the OR work evenly, to within the one word
         # at the cut, unless the least span on either side holds it in place
@@ -324,7 +346,7 @@ class TestShiftOrLoops:
             "from addbasis.cli import main\n"
             "calls = []\n"
             "kernel = sumset.pair_sumset\n"
-            "sumset.pair_sumset = lambda *a: calls.append(1) or kernel(*a)\n"
+            "sumset.pair_sumset = lambda *a, **k: calls.append(1) or kernel(*a, **k)\n"
             "code = main(['sumset', '--set', 'squares', '--h', '3', '--bound', '21000'])\n"
             "assert code == 0 and len(calls) == 3, (code, calls)\n"
             "assert 'numpy' not in sys.modules\n"
@@ -445,6 +467,129 @@ class TestGapPath:
         counted = self.count_checkpoints(monkeypatch)
         got = pair_sumset(outer, inner, bound)
         assert (len(counted), got._runs, got) == (2, None, want)
+
+
+class BatchThread(InlineThread):
+    """An ``InlineThread`` that records each batch a range thread folds: its
+    member count and whether it ORs largest-part windows."""
+
+    batches: list[tuple[int, bool]] = []
+
+    def start(self):
+        *_, residues, largest = self.args
+        self.batches.append((sum(map(len, residues)), largest))
+        super().start()
+
+
+class TestWindowedChains:
+    """Chains whose numpy folds OR each member over one window of the other
+    operand, against the same chains on the Python-int loop, which ORs it
+    whole: forced onto the numpy loop on 1, 2 and 3 ranges of InlineThread,
+    at gap prices 0, 1 and GAP_TEST_WORDS."""
+
+    BOUND = 64 * 40 - 1
+    HMAX = 7
+
+    @classmethod
+    def exprs(cls):
+        bound = cls.BOUND
+        rng = random.Random(31)
+        top = rng.sample(range(2 * bound // 3 + 1, bound + 1), 12)
+        tenth = rng.sample(range(bound - bound // 10, bound), 20)
+        return {
+            # dense near 0: the largest-part windows are the shorter
+            "squares": Powers(2),
+            "cubes": Powers(3),
+            "fourth powers": Powers(4),
+            # A + A from 0 alone fills the top third, where every other
+            # member's smallest-part window is empty; 2A is A again, and a
+            # popcount tie makes the left operand, the fold, the outer one
+            "top third and 0": Explicit(tuple(sorted([0, *top]))),
+            # kA is k and the top tenth shifted by k - 1, one member fewer
+            # than A, so the fold is the outer operand and ORs all of A
+            "1, the top tenth and N": Explicit(tuple(sorted([1, *tenth, bound]))),
+            # folds 1 and 2 run on runs, so the first shift-OR fold is 2A + A
+            "runs until fold 2": Union(Interval(0, 199), Explicit((1000, 2300))),
+        }
+
+    def chains(self, exprs):
+        return {
+            name: list(islice(sumset_folds(expr, self.BOUND), self.HMAX + 1))
+            for name, expr in exprs.items()
+        }
+
+    def test_windowed_chains_match_ints(self, monkeypatch):
+        exprs = self.exprs()
+        monkeypatch.setattr(sumset_module, "SHIFT_OR_NUMPY_WORDS", 2**63)
+        ints = self.chains(exprs)
+        monkeypatch.setattr(sumset_module, "SHIFT_OR_NUMPY_WORDS", 0)
+        monkeypatch.setattr(sumset_module, "SHIFT_OR_RANGE_WORDS", 1)
+        kernel = sumset_module.pair_sumset
+        per_fold = []  # the batches of each numpy fold, in order
+
+        def traced(p, q, bound, **k):
+            BatchThread.batches = []
+            try:
+                return kernel(p, q, bound, **k)
+            finally:
+                per_fold.append(BatchThread.batches)
+
+        monkeypatch.setattr(sumset_module, "pair_sumset", traced)
+        folds, batches = {}, {}
+
+        def fold():
+            for price in (0, 1, GAP_TEST_WORDS):
+                monkeypatch.setattr(sumset_module, "GAP_TEST_WORDS", price)
+                for cpus in (1, 2, 3):
+                    monkeypatch.setattr(sumset_module, "_usable_cpus", lambda: cpus)
+                    start = len(per_fold)
+                    folds[price, cpus] = self.chains(exprs)
+                    batches[price, cpus] = per_fold[start:]
+
+        caller = threading.Thread(target=fold, daemon=True)
+        monkeypatch.setattr(sumset_module.threading, "Thread", BatchThread)
+        caller.start()
+        caller.join(timeout=120)
+        assert not caller.is_alive(), "a range waited on another"
+        for key, got in folds.items():
+            for name, chain in got.items():
+                for h, (bits, want) in enumerate(zip(chain, ints[name])):
+                    assert bits == want, (name, h, key)
+                    assert list(bits.gaps()) == list(want.gaps()), (name, h, key)
+        # at price 1 some fold ORs smallest-part windows in checkpoint
+        # batches, then finishes on largest-part ones in one last batch; on
+        # 2 ranges the second one's thread records each batch once
+        assert any(b[0] == (1, False) and b[-1][1] for b in batches[1, 2] if len(b) > 2)
+
+    def test_window_choice(self, monkeypatch):
+        monkeypatch.setattr(sumset_module, "SHIFT_OR_NUMPY_WORDS", 0)
+        kernel, split = sumset_module._shift_or_words, sumset_module._split_words
+        calls = []
+
+        def split_seen(starts, ends, words, cpus):
+            calls[-1].append(ends.tolist())
+            return split(starts, ends, words, cpus)
+
+        monkeypatch.setattr(
+            sumset_module, "_shift_or_words", lambda *a: calls.append([a[-1]]) or kernel(*a)
+        )
+        monkeypatch.setattr(sumset_module, "_split_words", split_seen)
+        seen = {}
+        for name, expr in self.exprs().items():
+            calls.clear()
+            list(islice(sumset_folds(expr, self.BOUND), self.HMAX + 1))
+            seen[name] = [tuple(c) for c in calls]
+        size = (self.BOUND // 64 + 1) * 8
+        # member a splits the inner operand kA at k * a; on A + A, k = 1, and
+        # a fold that is the outer operand gets no k and ORs all of A
+        (sq2, sq2_ends), (sq3, _), (sq4, _) = seen["squares"][:3]
+        assert (sq2, sq3, sq4) == (1, 2, 3)
+        assert any(end < size for end in sq2_ends)  # largest-part windows
+        (top2, top2_ends), (top3, top3_ends) = seen["top third and 0"][:2]
+        assert (top2, top3) == (1, None)
+        assert set(top2_ends) == set(top3_ends) == {size}  # smallest-part windows
+        assert [k for k, _ in seen["1, the top tenth and N"]][:3] == [1, None, None]
+        assert seen["runs until fold 2"][0][0] == 2
 
 
 class TestUsableCpus:
@@ -571,9 +716,9 @@ def kernel_calls(monkeypatch):
     calls = {"runs": 0, "shift-or": 0}
 
     def counted(name, fn):
-        def wrapper(*args):
+        def wrapper(*args, **kwargs):
             calls[name] += 1
-            return fn(*args)
+            return fn(*args, **kwargs)
 
         return wrapper
 
@@ -592,6 +737,30 @@ class TestRunSumset:
         assert run_sumset([(5, 9)], [(2, 4)], 10) == [(7, 10)]
         assert run_sumset([(5, 9)], [(6, 7)], 10) == []
         assert run_sumset([], [(0, 3)], 10) == []
+
+    def test_streams_over_the_operand_with_fewer_runs(self, monkeypatch):
+        shifted = sumset_module._shifted_runs
+        streams = []
+        monkeypatch.setattr(
+            sumset_module,
+            "_shifted_runs",
+            lambda r, c, d, bound: streams.append(len(r)) or shifted(r, c, d, bound),
+        )
+        many = [(10 * i, 10 * i + 2) for i in range(50)]
+        few = [(0, 1), (300, 300)]
+        want = run_sumset(many, few, 1000)
+        assert streams == [50, 50]
+        streams.clear()
+        assert run_sumset(few, many, 1000) == want
+        assert streams == [50, 50]
+        # {0} + R is R clipped to the bound, on either side, in a new list
+        # from one pass over R
+        streams.clear()
+        assert run_sumset([(0, 0)], many, 1000) == many
+        assert run_sumset(many, [(0, 0)], 1000) is not many
+        assert run_sumset([(0, 0)], many, 300) == many[:30] + [(300, 300)]
+        assert run_sumset([(0, 0)], [(0, 100)], 10) == [(0, 10)]
+        assert streams == [50, 50, 50, 1]
 
 
 class TestKernelSelection:
@@ -695,7 +864,9 @@ class TestFoldChain:
         kernel = sumset_module.pair_sumset
         seen = []
         monkeypatch.setattr(
-            sumset_module, "pair_sumset", lambda p, q, bound: seen.append((p, q)) or kernel(p, q, bound)
+            sumset_module,
+            "pair_sumset",
+            lambda p, q, bound, **k: seen.append((p, q)) or kernel(p, q, bound, **k),
         )
         points = (0, 1, 7, 30, 31, 90, 400, 401, 1000, 2500, 7000, 9999)
         folds = list(islice(sumset_folds(Explicit(points), 20_000), 4))
