@@ -1,7 +1,7 @@
 """Desk-scale experiments with additive bases of the naturals.
 
 Structured integer sets are described by a small expression DSL, windowed
-exactly onto ``[0, N]`` as interval runs or big-integer bitsets, and combined
+exactly onto ``[0, N]`` as interval runs or byte bitsets, and combined
 by run arithmetic while the runs are few and by a bit-parallel shift-OR
 sumset kernel after.  On top sit counting-function density sequences,
 certified order lower bounds, and finite-stability probes.

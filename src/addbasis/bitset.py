@@ -4,23 +4,23 @@ A :class:`PrefixBitset` pins down a set intersected with ``[0, N]`` exactly.
 While a sumset chain folds on interval runs its prefixes keep those runs and
 answer every query from them, at a cost set by the run count; a mask, bit
 ``i`` set iff ``i`` belongs to the set, is built only when a shift-OR fold
-needs one.  The mask is a single Python integer, so shifts, ORs and
-popcounts run in C.  Every Python-int shift or OR allocates a new integer
-the size of the mask, so the shift-OR sumset kernel ORs large masks in place
-in a numpy word array instead (``sumset.pair_sumset``).
+needs one.  A mask has one format at every size: the little-endian bytes
+of whole 64-bit words (``mask_size``), in which the numpy shift-OR loop ORs
+in place (``sumset.pair_sumset``), so each fold hands its bytes to the next
+fold and to every query unconverted.
 """
 
 from __future__ import annotations
 
 import re
 from bisect import bisect_left, bisect_right
-from itertools import chain
+from itertools import chain, takewhile
 from typing import Iterator, Sequence
 
-# Set-bit offsets per byte value, for streaming members out of a large mask.
-# Peeling bits off the integer directly would copy the whole mask per bit.
+# Set-bit offsets per byte value; stretches of bytes that hold a set bit, or
+# a clear one, and the leading full bytes, compiled by ``re`` at first use.
 _BYTE_BITS = tuple(tuple(b for b in range(8) if (v >> b) & 1) for v in range(256))
-_NONZERO_STRETCH = re.compile(rb"[^\x00]+")
+_SET_STRETCH, _CLEAR_STRETCH, _FULL_BYTES = rb"[^\x00]+", rb"[^\xff]+", rb"\xff*"
 
 
 def full_mask(bound: int) -> int:
@@ -28,6 +28,13 @@ def full_mask(bound: int) -> int:
     if bound < 0:
         raise ValueError(f"bound must be >= 0, got {bound}")
     return (1 << (bound + 1)) - 1
+
+
+def mask_size(bound: int) -> int:
+    """Bytes in the mask of ``[0, bound]``: whole 64-bit words."""
+    if bound < 0:
+        raise ValueError(f"bound must be >= 0, got {bound}")
+    return (bound // 64 + 1) * 8
 
 
 def runs_bytes(runs: Sequence[tuple[int, int]], size: int, out=None):
@@ -57,24 +64,16 @@ def runs_bytes(runs: Sequence[tuple[int, int]], size: int, out=None):
     return buf if out is None else out
 
 
-def runs_mask(runs: Sequence[tuple[int, int]], bound: int) -> int:
-    """Mask of the disjoint sorted runs ``(lo, hi)``, all within ``[0, bound]``:
-    their ``runs_bytes`` up to the last run, converted once."""
-    return int.from_bytes(runs_bytes(runs, runs[-1][1] // 8 + 1 if runs else 0), "little")
-
-
-def iter_bits(mask: int) -> Iterator[int]:
-    """Yield the set-bit indices of ``mask`` in ascending order."""
-    if mask < 0:
-        raise ValueError("mask must be nonnegative")
-    buf = mask.to_bytes((mask.bit_length() + 7) // 8, "little")
-    # the regex engine skips zero bytes in C, so a sparse mask costs its
-    # nonzero bytes rather than all of them; a stretch per match keeps the
-    # per-match overhead off dense masks
-    for stretch in _NONZERO_STRETCH.finditer(buf):
+def iter_bits(buf: bytes, clear: bool = False) -> Iterator[int]:
+    """Yield the indices of the set bits of the little-endian bytes ``buf``,
+    or with ``clear`` of its clear bits, in ascending order."""
+    view, flip = memoryview(buf), 0xFF if clear else 0
+    # the regex engine skips the other bytes in C; a stretch per match keeps
+    # the per-match overhead off dense masks, and the view does not copy it
+    for stretch in re.finditer(_CLEAR_STRETCH if clear else _SET_STRETCH, buf):
         base = stretch.start() << 3
-        for byte in stretch.group():
-            for off in _BYTE_BITS[byte]:
+        for byte in view[stretch.start() : stretch.end()]:
+            for off in _BYTE_BITS[byte ^ flip]:
                 yield base + off
             base += 8
 
@@ -82,35 +81,43 @@ def iter_bits(mask: int) -> Iterator[int]:
 class PrefixBitset:
     """Exact membership of a set restricted to ``[0, bound]``.
 
-    Held either as normalized runs (``from_runs``) or as a mask
-    (``PrefixBitset(bound, mask)``), never both; the methods answer the same
-    on both.  On runs the queries (``in``, ``count_range``, ``first_gap``,
-    ``gaps``, ``members``, ``is_full``, ``popcount``) bisect the run starts
-    and read prefix sums of the run widths, so their cost is set by the run
-    count, not by the bound.  ``.mask`` of a run-backed prefix is built from
-    the runs at each read and never cached; of the sumset kernels only the
-    Python-int loop of ``pair_sumset`` reads it, on its inner operand.  A
-    mask's popcount is cached, and two more views are built on first use and
-    cached: a bytes view of a mask, through which ``n in bits`` is O(1)
-    instead of shifting the whole mask, and the members as one ascending
-    array, which the numpy shift-OR loop reads when this set is its outer
-    operand; on runs it is read from the runs.  Immutable after
-    construction; safe to share between readers.
+    Held either as normalized runs (``from_runs``) or as a mask, never both;
+    the methods answer the same on both.  A mask is ``mask_size(bound)``
+    bytes and their popcount (``from_bytes``, or ``PrefixBitset(bound,
+    mask)`` from an integer), which every query reads in place.  On runs
+    the queries bisect the run starts and read prefix sums of the run
+    widths, so their cost is set by the run count, not by the bound.
+    ``.mask``, an integer, is built at each read and never kept; of the
+    sumset kernels only the Python-int loop of ``pair_sumset`` reads it.
+    The members as one ascending array, which the numpy shift-OR loop reads
+    when this set is its outer operand, are built on first use and cached.
+    Immutable after construction; safe to share between readers.
     """
 
-    __slots__ = ("bound", "_mask", "_runs", "_starts", "_below", "_buf", "_count", "_array")
+    __slots__ = ("bound", "_buf", "_runs", "_starts", "_below", "_count", "_array")
 
     def __init__(self, bound: int, mask: int):
-        if bound < 0:
-            raise ValueError(f"bound must be >= 0, got {bound}")
+        size = mask_size(bound)
         if mask < 0 or mask >> (bound + 1):
             raise ValueError("mask has bits above the stated bound")
-        self.bound = bound
-        self._mask: int | None = mask
-        self._runs: list[tuple[int, int]] | None = None
-        self._buf: bytes | None = None
-        self._count: int | None = None
-        self._array = None
+        self.bound, self._buf, self._count = bound, mask.to_bytes(size, "little"), mask.bit_count()
+        self._runs = self._array = None
+
+    @classmethod
+    def from_bytes(cls, bound: int, buf: bytes, count: int) -> "PrefixBitset":
+        """The set whose mask is ``buf``, which must be ``mask_size(bound)``
+        little-endian bytes with no bit above ``bound``; both are checked.
+        ``count`` must be its number of set bits, and is not recounted.  The
+        buffer is kept, not copied, so the caller must not change it."""
+        size = mask_size(bound)
+        if len(buf) != size:
+            raise ValueError(f"a mask of [0, {bound}] has {size} bytes, got {len(buf)}")
+        if int.from_bytes(buf[bound >> 3 :], "little") >> (bound & 7) + 1:  # at most 8 bytes
+            raise ValueError("mask has bits above the stated bound")
+        self = cls.__new__(cls)
+        self.bound, self._buf, self._count = bound, buf, count
+        self._runs = self._array = None
+        return self
 
     @classmethod
     def from_runs(cls, bound: int, runs: list[tuple[int, int]]) -> "PrefixBitset":
@@ -121,7 +128,6 @@ class PrefixBitset:
             raise ValueError(f"bound must be >= 0, got {bound}")
         self = cls.__new__(cls)
         self.bound = bound
-        self._mask = None
         self._runs = runs
         self._buf = None
         self._array = None
@@ -142,32 +148,24 @@ class PrefixBitset:
 
     @property
     def mask(self) -> int:
-        """The bit vector; on a run-backed prefix, built from the runs at each read."""
-        if self._runs is not None:
-            return runs_mask(self._runs, self.bound)
-        return self._mask
+        """The bit vector as an integer, built at each read from the bytes or the runs."""
+        buf = self._buf if self._runs is None else runs_bytes(self._runs, mask_size(self.bound))
+        return int.from_bytes(buf, "little")
 
-    def _bytes(self) -> bytes:
-        buf = self._buf
-        if buf is None:
-            buf = self.mask.to_bytes(self.bound // 8 + 1, "little")
-            self._buf = buf
-        return buf
-
-    def _padded_bytes(self, size: int):
-        """The little-endian bit bytes, ``size >= bound // 8 + 1`` bytes long,
-        as a numpy uint8 array; from the runs without building the mask when
-        run-backed.  Imports numpy."""
+    def _padded_bytes(self):
+        """The ``mask_size(bound)`` mask bytes as a numpy uint8 array: a view
+        of the mask, or built from the runs when run-backed.  Imports numpy."""
         import numpy as np
 
         if self._runs is not None:
+            size = mask_size(self.bound)
             return runs_bytes(self._runs, size, np.zeros(size, np.uint8))
-        return np.frombuffer(self.mask.to_bytes(size, "little"), np.uint8)
+        return np.frombuffer(self._buf, np.uint8)
 
     def _member_array(self):
         """The members in ascending order, as one int64 numpy array; built on
-        first call from the runs, or from the mask when there are none, then
-        cached.  Imports numpy."""
+        first call from the runs or from the mask bytes, then cached.  Imports
+        numpy."""
         members = self._array
         if members is None:
             import numpy as np
@@ -179,7 +177,7 @@ class PrefixBitset:
                 members = np.repeat(np.array(self._starts, np.int64) - below[:-1], np.diff(below))
                 members += np.arange(self._count)
             else:
-                packed = np.frombuffer(self._mask.to_bytes(self.bound // 8 + 1, "little"), np.uint8)
+                packed = np.frombuffer(self._buf, np.uint8)
                 at = np.flatnonzero(packed)
                 bits = np.flatnonzero(np.unpackbits(packed[at], bitorder="little"))
                 members = at[bits >> 3] * 8 + (bits & 7)
@@ -200,22 +198,18 @@ class PrefixBitset:
         if self._runs is not None:
             j = bisect_right(self._starts, i)
             return j > 0 and i <= self._runs[j - 1][1]
-        buf = self._bytes()
-        return bool((buf[i >> 3] >> (i & 7)) & 1)
+        return bool((self._buf[i >> 3] >> (i & 7)) & 1)
 
     def members(self) -> Iterator[int]:
         if self._runs is not None:
             return chain.from_iterable(range(lo, hi + 1) for lo, hi in self._runs)
-        return iter_bits(self.mask)
+        return iter_bits(self._buf)
 
     def to_list(self) -> list[int]:
         return list(self.members())
 
     def popcount(self) -> int:
-        count = self._count
-        if count is None:
-            count = self._count = self.mask.bit_count()
-        return count
+        return self._count
 
     def count_range(self, lo: int, hi: int) -> int:
         """Number of members in ``[lo, hi]``; requires ``hi <= bound``."""
@@ -226,7 +220,10 @@ class PrefixBitset:
             return 0
         if self._runs is not None:
             return self._rank(hi + 1) - self._rank(lo)
-        return ((self.mask >> lo) & full_mask(hi - lo)).bit_count()
+        # the bytes that hold [lo, hi], less their bits below lo and above hi
+        buf, a, b = self._buf, lo >> 3, hi >> 3
+        edges = (buf[a] & ((1 << (lo & 7)) - 1)).bit_count() + (buf[b] >> (hi & 7) + 1).bit_count()
+        return int.from_bytes(memoryview(buf)[a : b + 1], "little").bit_count() - edges
 
     def restrict(self, bound: int) -> "PrefixBitset":
         """The same set windowed to a smaller ``[0, bound]``."""
@@ -235,9 +232,7 @@ class PrefixBitset:
         return PrefixBitset(bound, self.mask & full_mask(bound))
 
     def is_full(self) -> bool:
-        if self._runs is not None:
-            return self._runs == [(0, self.bound)]
-        return self.mask == full_mask(self.bound)
+        return self._count == self.bound + 1
 
     def complement_mask(self) -> int:
         """Bits of ``[0, bound]`` that are NOT members."""
@@ -252,7 +247,7 @@ class PrefixBitset:
             return chain.from_iterable(
                 range(end + 1, start) for end, start in zip(edges[0::2], edges[1::2])
             )
-        return iter_bits(self.complement_mask())
+        return takewhile(self.bound.__ge__, iter_bits(self._buf, clear=True))
 
     def first_gap(self) -> int | None:
         """Smallest non-member in ``[0, bound]``, or None if full."""
@@ -260,9 +255,11 @@ class PrefixBitset:
         if runs is not None:
             gap = runs[0][1] + 1 if runs and runs[0][0] == 0 else 0
         else:
-            # m ^ (m + 1) sets exactly the bits up to the lowest zero of m
-            m = self.mask
-            gap = (m ^ (m + 1)).bit_length() - 1
+            # the first byte that is not full holds the gap at its lowest
+            # zero, up to which b ^ (b + 1) sets every bit; with all full, past the bound
+            i = re.match(_FULL_BYTES, self._buf).end()
+            byte = self._buf[i] if i < len(self._buf) else 0
+            gap = i * 8 + (byte ^ (byte + 1)).bit_length() - 1
         return gap if gap <= self.bound else None
 
     def __eq__(self, other: object) -> bool:

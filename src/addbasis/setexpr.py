@@ -34,7 +34,7 @@ import re
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from .bitset import PrefixBitset, runs_mask
+from .bitset import PrefixBitset, mask_size, runs_bytes
 
 U64_MAX = 2**64 - 1
 DEFAULT_BOUND_CEILING = 2**31
@@ -401,8 +401,10 @@ def expr_runs(expr: SetExpr, bound: int) -> list[tuple[int, int]]:
 def materialize(expr: SetExpr, bound: int) -> PrefixBitset:
     """Exact prefix of the denoted set over ``[0, bound]``.
 
-    The mask is filled from ``expr_runs`` in O(bound/8 + runs).
+    The mask bytes are filled from ``expr_runs`` in O(bound/8 + runs).
     Deterministic: materializing twice yields identical bit vectors.
     """
     check_bound(bound)
-    return PrefixBitset(bound, runs_mask(expr_runs(expr, bound), bound))
+    runs = expr_runs(expr, bound)
+    count = sum(hi - lo + 1 for lo, hi in runs)
+    return PrefixBitset.from_bytes(bound, runs_bytes(runs, mask_size(bound)), count)

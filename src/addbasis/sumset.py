@@ -72,11 +72,11 @@ def pair_sumset(
     member ORs only a window of the fold: the part that the sums in which it
     holds the largest parts can use, or the smallest, whichever is shorter
     in all.  A fold there that comes close to full is finished by testing
-    only its remaining gaps, and is returned run-backed.  Smaller masks are ORed
-    whole, as Python ints.  A run-backed operand's members and bytes are
-    read from its runs, so only the Python-int loop builds a mask from runs,
-    of its inner operand.  ``{0} + Q`` is ``Q`` itself, returned without a
-    shift or a mask.
+    only its remaining gaps, and is returned run-backed; any other keeps the
+    array's bytes as its mask.  Smaller masks are ORed whole, as Python ints.
+    A run-backed operand's members and bytes are read from its runs, so only
+    the Python-int loop builds a mask from runs, of its inner operand.
+    ``{0} + Q`` is ``Q`` itself, returned without a shift or a mask.
     """
     if p.bound != bound or q.bound != bound:
         raise ValueError(
@@ -141,13 +141,13 @@ def _shift_or_words(
     held has its largest parts there.  Once at most one zero per
     ``GAP_TEST_WORDS`` words is left, testing the zeros against the
     remaining members costs less than ORing those, so the fold ends in
-    ``_gap_runs`` and returns run-backed, and the accumulator is never
-    converted to an int.  After its smallest member a fold has at most
-    ``inner``'s gaps, that member's value and its split point as zeros; it
-    takes the checkpoints only if that count, halved at each doubling of the
-    members, would reach the switch by the last member, and it stops taking
-    them once a doubling fails to halve the zeros.  Any other fold is a
-    single batch.
+    ``_gap_runs`` and returns run-backed.  After its smallest member a fold
+    has at most ``inner``'s gaps, that member's value and its split point as
+    zeros; it takes the checkpoints only if that count, halved at each
+    doubling of the members, would reach the switch by the last member, and
+    it stops taking them once a doubling fails to halve the zeros.  Any
+    other fold is a single batch.  A fold that does not end there returns
+    the accumulator's bytes and their ``np.bitwise_count`` total as its mask.
     """
     import numpy as np
 
@@ -177,7 +177,7 @@ def _shift_or_words(
     # it and inner's members below its split point
     free = bound + 1 - inner.popcount() + smallest + smallest * mul
     checked = free * GAP_TEST_WORDS <= total * words
-    src = inner._padded_bytes(size)
+    src = inner._padded_bytes()
     acc = np.zeros(words, dtype="<u8")
     # each range's buffer and carry, allocated here: a worker's own
     # allocations would each take a malloc arena
@@ -246,7 +246,7 @@ def _shift_or_words(
         checked = last is None or 2 * zeros <= last
     del src, jobs
     acc[-1] &= below_bound
-    return PrefixBitset(bound, int.from_bytes(acc, "little"))
+    return PrefixBitset.from_bytes(bound, acc.tobytes(), int(np.bitwise_count(acc).sum()))
 
 
 def _gap_runs(acc, jobs, src, rest, bound: int) -> list[tuple[int, int]]:

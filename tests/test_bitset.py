@@ -5,7 +5,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from addbasis import Explicit, PrefixBitset, expr_runs, full_mask, iter_bits, materialize
-from addbasis.bitset import runs_mask
+from addbasis.bitset import mask_size, runs_bytes
 
 
 def test_full_mask_small():
@@ -15,26 +15,31 @@ def test_full_mask_small():
         full_mask(-1)
 
 
-@given(st.integers(0, 2**200 - 1))
-def test_iter_bits_matches_naive(mask):
+@given(st.integers(0, 2**200 - 1), st.integers(0, 3))
+def test_iter_bits_matches_naive(mask, pad):
+    buf = mask.to_bytes((mask.bit_length() + 7) // 8 + pad, "little")
     naive = [i for i in range(mask.bit_length()) if (mask >> i) & 1]
-    assert list(iter_bits(mask)) == naive
+    assert list(iter_bits(buf)) == naive
+    assert list(iter_bits(buf, clear=True)) == [i for i in range(8 * len(buf)) if i not in naive]
 
 
 def test_iter_bits_sparse_mask():
     # runs of zero bytes between isolated, adjacent and byte-edge bits
     bits = [0, 7, 8, 9, 63, 64, 4095, 100_000, 100_001, 999_999, 1_000_000, 3_000_007]
-    assert list(iter_bits(sum(1 << i for i in bits))) == bits
+    mask = sum(1 << i for i in bits)
+    assert list(iter_bits(mask.to_bytes(375_001, "little"))) == bits
+    full = full_mask(8 * 375_001 - 1)
+    assert list(iter_bits((full & ~mask).to_bytes(375_001, "little"), clear=True)) == bits
 
 
 @given(st.lists(st.integers(0, 40), max_size=12), st.integers(0, 100))
-def test_runs_mask_matches_naive(cuts, slack):
+def test_runs_bytes_matches_naive(cuts, slack):
     # disjoint runs from sorted distinct cuts, edges falling anywhere in a byte
     ends = sorted(set(cuts))
     runs = list(zip(ends[0::2], ends[1::2]))
     bound = (ends[-1] if ends else 0) + slack
     naive = sum(1 << i for lo, hi in runs for i in range(lo, hi + 1))
-    assert runs_mask(runs, bound) == naive
+    assert int.from_bytes(runs_bytes(runs, bound // 8 + 1), "little") == naive
 
 
 @given(st.sets(st.integers(0, 500)))
@@ -56,8 +61,9 @@ def test_views_are_built_once():
     bits = PrefixBitset(2000, sum(1 << i for i in (3, 9, 10, 17, 1999)))
     assert bits.popcount() == 5
     members = bits._member_array()
-    # a second read of either view answers from the first, not from the mask
-    bits._mask = 0
+    # the popcount is stored and the member array cached, so a second read
+    # of either does not go back to the mask bytes
+    bits._buf = bytes(len(bits._buf))
     assert bits.popcount() == 5
     assert bits._member_array() is members
 
@@ -87,13 +93,24 @@ def test_mask_of_runs_is_not_kept():
     want = sum(1 << i for i in (*range(0, 4), *range(50, 101)))
     assert bits.mask == want and bits.mask == want
     # each read builds the mask afresh, so a prefix holds runs or a mask, never both
-    assert bits._mask is None
+    assert bits._buf is None
 
 
 def test_mask_above_bound_rejected():
     with pytest.raises(ValueError):
         PrefixBitset(3, 1 << 4)
     PrefixBitset(3, 1 << 3)  # boundary bit is fine
+    # the bytes constructor makes the same check, on a buffer of whole words
+    with pytest.raises(ValueError):
+        PrefixBitset.from_bytes(3, (1 << 4).to_bytes(8, "little"), 1)
+    with pytest.raises(ValueError):
+        PrefixBitset.from_bytes(64, (1 << 127).to_bytes(16, "little"), 1)  # in the padding
+    assert PrefixBitset.from_bytes(64, (1 << 64).to_bytes(16, "little"), 1).to_list() == [64]
+    for size in (0, 1, 7, 9, 16):  # a mask of [0, 3] is one word
+        with pytest.raises(ValueError):
+            PrefixBitset.from_bytes(3, bytes(size), 0)
+    with pytest.raises(ValueError):
+        PrefixBitset.from_bytes(-1, bytes(8), 0)
 
 
 @given(st.sets(st.integers(0, 300)), st.integers(0, 300), st.integers(0, 300))
@@ -122,7 +139,7 @@ def test_restrict_first_gap_complement():
     assert PrefixBitset(2, 0b111).first_gap() is None
     assert PrefixBitset(2, 0b111).is_full()
     comp = bits.complement_mask()
-    assert set(iter_bits(comp)) == {3, 5, 6}
+    assert set(iter_bits(comp.to_bytes(1, "little"))) == {3, 5, 6}
 
 
 def test_first_gap_matches_complement():
@@ -175,13 +192,38 @@ def prefix_cases(draw):
 @example((10, {3, 8, 9, 10}, 5, 2, 11))  # a run ending at the bound; lo > hi
 @example((0, {0}, 0, 0, 0))  # bound 0
 @example((0, set(), -1, 0, -1))  # empty at bound 0; negative queries
+# every bit set, at bounds that end a byte, start one, end a word (so the
+# mask bytes hold no byte that is not full) and start one
+@example((7, set(range(8)), 7, 7, 7))
+@example((8, set(range(9)), 7, 8, 8))
+@example((63, set(range(64)), 8, 63, 63))
+@example((64, set(range(65)), 63, 64, 64))
+@example((127, set(range(128)), 64, 127, 63))
+@example((191, set(range(192)), 0, 191, 128))
+@example((127, set(range(127)), 63, 127, 126))  # a gap only at the bound
+@example((64, set(range(64)), 0, 64, 63))  # a gap only at the bound, a word's first bit
+@example((200, {7, 8, 63, 64, 127, 128, 200}, 8, 127, 64))  # members on the edges
 def test_run_backed_matches_mask(case):
     bound, members, lo, hi, cut = case
     expr = Explicit(tuple(members))
     masked = materialize(expr, bound)
     runs = PrefixBitset.from_runs(bound, expr_runs(expr, bound))
-    for i in range(-2, bound + 3):
-        assert (i in runs) == (i in masked), i
+    ints = PrefixBitset(bound, sum(1 << m for m in members))
+    # every query of each representation against the members themselves
+    want = sorted(members)
+    gaps = [i for i in range(bound + 1) if i not in members]
+    edges = [e for e in (0, 7, 8, 63, 64, 127, 128, bound, lo, hi) if 0 <= e <= bound]
+    for bits in (runs, masked, ints):
+        assert [i for i in range(-2, bound + 3) if i in bits] == want
+        assert list(bits.members()) == want and list(bits.gaps()) == gaps
+        assert bits.first_gap() == (gaps[0] if gaps else None)
+        assert (bits.popcount(), bits.is_full()) == (len(members), not gaps)
+        for a in edges:
+            for b in edges:
+                assert bits.count_range(a, b) == sum(a <= m <= b for m in members), (a, b)
+        assert bits == runs and runs == bits and bits == ints and ints == bits
+        other = PrefixBitset(bound, bits.mask ^ 1)  # 0 toggled
+        assert bits != other and other != bits
     for name, args in (
         ("count_range", (lo, hi)),
         ("count_range", (0, hi)),
@@ -203,9 +245,11 @@ def test_run_backed_matches_mask(case):
     assert runs != PrefixBitset.from_runs(bound + 1, expr_runs(expr, bound))
     assert runs.mask == masked.mask
     assert runs._member_array().tolist() == masked._member_array().tolist() == sorted(members)
-    size = bound // 8 + 9
-    padded = (runs._padded_bytes(size).tobytes(), masked._padded_bytes(size).tobytes())
+    size = mask_size(bound)
+    padded = (runs._padded_bytes().tobytes(), masked._padded_bytes().tobytes())
     assert padded == (masked.mask.to_bytes(size, "little"),) * 2
+    # a mask's padded bytes are a view of the mask bytes, not a copy
+    assert ints._padded_bytes().base is ints._buf
 
 
 @pytest.mark.parametrize(

@@ -431,7 +431,13 @@ class TestGapPath:
         """Lists each zero count of the numpy loop: one per range per checkpoint."""
         counted = []
         count = np.bitwise_count
-        monkeypatch.setattr(np, "bitwise_count", lambda *a, **k: counted.append(1) or count(*a, **k))
+
+        def count_listed(*args, **kwargs):
+            if "out" in kwargs:  # a checkpoint writes into a range's carry; the result's popcount does not
+                counted.append(1)
+            return count(*args, **kwargs)
+
+        monkeypatch.setattr(np, "bitwise_count", count_listed)
         return counted
 
     def test_checkpoints_only_where_a_switch_is_free(self, monkeypatch):
@@ -809,9 +815,10 @@ class TestKernelSelection:
         assert got.to_list() == [0, 3, 6, 9, 12]
 
 
-# every module that binds runs_mask: masks are built by materialize and by
-# a run-backed prefix at each read of its .mask, which only the Python-int
-# loop makes, on its inner operand
+# every module that binds runs_bytes: masks are built from runs by
+# materialize and by a run-backed prefix at each read of its .mask, which
+# only the Python-int loop makes, on its inner operand; the numpy loop's
+# operand bytes are written into an ``out`` array instead
 MASK_BINDINGS = (bitset_module, setexpr_module)
 
 
@@ -825,14 +832,15 @@ def walks(monkeypatch):
         calls["expr_runs"] += 1
         return fn(*args)
 
-    def runs_mask_listed(runs, bound, fn=bitset_module.runs_mask):
-        calls["masked"].append(list(runs))
-        return fn(runs, bound)
+    def runs_bytes_listed(runs, size, out=None, fn=bitset_module.runs_bytes):
+        if out is None:
+            calls["masked"].append(list(runs))
+        return fn(runs, size, out)
 
     for module in (setexpr_module, sumset_module):
         monkeypatch.setattr(module, "expr_runs", expr_runs_counted)
     for module in MASK_BINDINGS:
-        monkeypatch.setattr(module, "runs_mask", runs_mask_listed)
+        monkeypatch.setattr(module, "runs_bytes", runs_bytes_listed)
     return calls
 
 
@@ -902,7 +910,7 @@ class TestFoldChain:
         folds = list(islice(sumset_folds(Explicit(points), 20_000), 5))
         assert len(reads) == 3
         assert all(bits is folds[1] and members is reads[0][1] for bits, members in reads)
-        assert walks["masked"] == [] and folds[1]._mask is None
+        assert walks["masked"] == [] and folds[1]._buf is None
         monkeypatch.setattr(sumset_module, "SHIFT_OR_NUMPY_WORDS", 2**63)
         assert folds == list(islice(shift_or_folds(Explicit(points), 20_000), 5))
 
@@ -924,11 +932,11 @@ class TestFoldChain:
         assert folds == [PrefixBitset.from_runs(20_000, runs) for runs in want]
 
     def test_counterexample_verify_builds_no_mask(self, monkeypatch):
-        def refuse(runs, bound):
-            raise AssertionError(f"mask built from {len(runs)} runs at {bound}")
+        def refuse(runs, size, out=None):
+            raise AssertionError(f"mask built from {len(runs)} runs in {size} bytes")
 
         for module in MASK_BINDINGS:
-            monkeypatch.setattr(module, "runs_mask", refuse)
+            monkeypatch.setattr(module, "runs_bytes", refuse)
         assert verify_counterexample(210_000).passed
 
     def test_run_chain_keeps_the_memory_guard(self, monkeypatch):
