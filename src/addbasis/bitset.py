@@ -220,10 +220,14 @@ class PrefixBitset:
             return 0
         if self._runs is not None:
             return self._rank(hi + 1) - self._rank(lo)
-        # the bytes that hold [lo, hi], less their bits below lo and above hi
         buf, a, b = self._buf, lo >> 3, hi >> 3
-        edges = (buf[a] & ((1 << (lo & 7)) - 1)).bit_count() + (buf[b] >> (hi & 7) + 1).bit_count()
-        return int.from_bytes(memoryview(buf)[a : b + 1], "little").bit_count() - edges
+        below = (buf[a] & ((1 << (lo & 7)) - 1)).bit_count()
+        if a == 0 and hi == self.bound:
+            # every member, less those below lo: no bytes to convert
+            return self._count - below
+        # the bytes that hold [lo, hi], less their bits below lo and above hi
+        above = (buf[b] >> (hi & 7) + 1).bit_count()
+        return int.from_bytes(memoryview(buf)[a : b + 1], "little").bit_count() - below - above
 
     def restrict(self, bound: int) -> "PrefixBitset":
         """The same set windowed to a smaller ``[0, bound]``."""

@@ -10,8 +10,11 @@ failure: a mathematical claim or certificate did not hold, a report failed
 its shape check, or the library raised any other ``ValueError`` or
 ``OverflowError``.
 
-``main(argv)`` may be called repeatedly in one process: the parser is built
-once, on first use, and holds only argument definitions.  Each call picks its
+``main(argv)`` may be called repeatedly in one process: the parsers are built
+once, on first use, and hold only argument definitions.  Each call is parsed
+once, by its command's own parser; help, an unknown command and a missing
+one still go through the top-level parser, so every message and exit code is
+the one ``build_parser().parse_args(argv)`` gives.  Each call picks its
 command's handler by name from this module when it runs.
 """
 
@@ -220,15 +223,21 @@ def _add_format_flags(sp: argparse.ArgumentParser, plot_data: bool = False) -> N
 
 
 @functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The one parser of this process, built on the first call and shared."""
+def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The top-level parser and each command's own parser by name, built on
+    the first call and shared."""
     parser = argparse.ArgumentParser(
         prog="addbasis",
         description="Experiments with additive bases: sumsets, densities, order and stability probes.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    commands: dict[str, argparse.ArgumentParser] = {}
 
-    sp = sub.add_parser(
+    def command(name: str, help: str) -> argparse.ArgumentParser:
+        commands[name] = sub.add_parser(name, help=help)
+        return commands[name]
+
+    sp = command(
         "verify-counterexample",
         help="reproduce every desk-scale claim about the built-in counterexample family",
     )
@@ -237,20 +246,20 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(set="counterexample")
     _add_format_flags(sp)
 
-    sp = sub.add_parser("sumset", help="h-fold sumset membership and gaps over [0, bound]")
+    sp = command("sumset", help="h-fold sumset membership and gaps over [0, bound]")
     sp.add_argument("--set", required=True, help="set expression")
     sp.add_argument("--h", type=int_arg, required=True, help="fold count")
     sp.add_argument("--bound", type=nat_arg, required=True)
     sp.add_argument("--limit", type=nat_arg, default=100, help="member/gap listing cap")
     _add_format_flags(sp)
 
-    sp = sub.add_parser("order", help="certified order lower bound and prefix upper bound")
+    sp = command("order", help="certified order lower bound and prefix upper bound")
     sp.add_argument("--set", required=True)
     sp.add_argument("--bound", type=nat_arg, required=True)
     sp.add_argument("--hmax", type=int_arg, required=True)
     _add_format_flags(sp)
 
-    sp = sub.add_parser("density", help="counting-function ratios of tA along a subsequence")
+    sp = command("density", help="counting-function ratios of tA along a subsequence")
     sp.add_argument("--set", required=True)
     sp.add_argument("--t", type=int_arg, default=1, help="fold count (density of tA)")
     sp.add_argument("--subseq", required=True, help='e.g. "2*10^k+1" or "10^k"')
@@ -258,7 +267,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--start", type=int_arg, default=1, help="first index k")
     _add_format_flags(sp, plot_data=True)
 
-    sp = sub.add_parser("stability", help="which witness-family terms stay outside (h-1)(A ∪ F)")
+    sp = command("stability", help="which witness-family terms stay outside (h-1)(A ∪ F)")
     sp.add_argument("--set", required=True)
     sp.add_argument("--add", type=intlist_arg, default=(), help="augmentation F, comma-separated")
     sp.add_argument("--h", type=int_arg, required=True)
@@ -268,7 +277,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--bound", type=nat_arg, required=True)
     _add_format_flags(sp)
 
-    sp = sub.add_parser("probe", help="sample the (h-2)A and (h-1)A density trend conditions")
+    sp = command("probe", help="sample the (h-2)A and (h-1)A density trend conditions")
     sp.add_argument("--set", required=True)
     sp.add_argument("--h", type=int_arg, required=True, help="claimed order, h >= 3")
     sp.add_argument("--subseq", required=True)
@@ -276,7 +285,31 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--start", type=int_arg, default=1)
     _add_format_flags(sp, plot_data=True)
 
-    return parser
+    return parser, commands
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The one top-level parser of this process, built on the first call and shared."""
+    return _parsers()[0]
+
+
+def _parse_args(argv: list[str] | None) -> argparse.Namespace:
+    """``build_parser().parse_args(argv)`` in one pass.  The top-level parser
+    hands a command's arguments to that command's parser unchanged, so they
+    go there directly; leftovers are reported as the top-level parser reports
+    them.  Help, an unknown command and a missing one go through the
+    top-level parser."""
+    parser, commands = _parsers()
+    if argv is None:
+        argv = sys.argv[1:]
+    command = commands.get(argv[0]) if argv else None
+    if command is None:
+        return parser.parse_args(argv)
+    args, extras = command.parse_known_args(argv[1:])
+    if extras:
+        parser.error(f"unrecognized arguments: {' '.join(extras)}")
+    args.command = argv[0]
+    return args
 
 
 # parsed attributes that are not inputs of the computation
@@ -285,7 +318,7 @@ _NOT_INPUTS = ("command", "csv", "plot_data")
 
 def main(argv: list[str] | None = None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = _parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     inputs = {k: v for k, v in vars(args).items() if k not in _NOT_INPUTS}

@@ -203,6 +203,12 @@ def prefix_cases(draw):
 @example((127, set(range(127)), 63, 127, 126))  # a gap only at the bound
 @example((64, set(range(64)), 0, 64, 63))  # a gap only at the bound, a word's first bit
 @example((200, {7, 8, 63, 64, 127, 128, 200}, 8, 127, 64))  # members on the edges
+# ranges from byte 0 to the bound, which count from the stored popcount: on
+# masks with no byte past the bound's (63) and with padding bytes after it
+@example((63, {0, 2, 5, 62, 63}, 3, 63, 40))
+@example((64, {1, 6, 7, 64}, 7, 64, 8))
+@example((200, {0, 1, 100, 199, 200}, 1, 200, 150))
+@example((10001, {0, 2, 3, 4096, 9999, 10001}, 3, 10001, 10000))
 def test_run_backed_matches_mask(case):
     bound, members, lo, hi, cut = case
     expr = Explicit(tuple(members))

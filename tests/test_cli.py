@@ -4,6 +4,7 @@ import csv
 import io
 import json
 import math
+import sys
 from dataclasses import dataclass
 from enum import IntEnum
 from fractions import Fraction
@@ -14,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import check_parse_parity
 from addbasis.cli import MAX_TERMS, int_arg, intlist_arg, main, nat_arg
 from addbasis.report import RESULT_SCHEMAS, ReportError, canonical_json, jsonable, validate_report
 from reference import report_json_schema, report_validator
@@ -447,6 +449,49 @@ class TestParserReuse:
         codes = [run_cli(capsys, *jobs[i % len(jobs)])[0] for i in range(20)]
         assert built == []
         assert codes == ([0] * 6 + [2]) * 2 + [0] * 6
+
+
+class TestOnePass:
+    def test_matches_parse_args(self):
+        # the one-pass parse against build_parser().parse_args: exit code,
+        # stdout, stderr and parsed attributes, on the README's commands, the
+        # argvs of this file, the bench's invalid inputs and the edge cases
+        assert len(check_parse_parity.readme_argvs()) == 8
+        assert len(check_parse_parity.cli_test_argvs()) > 50
+        assert check_parse_parity.mismatches(check_parse_parity.corpus()) == []
+
+    def test_one_parse_per_call(self, capsys, monkeypatch):
+        # a valid call is parsed once, by its command's own parser
+        calls = []
+        parse = argparse.ArgumentParser.parse_known_args
+
+        def counted(self, *args, **kwargs):
+            calls.append(self.prog)
+            return parse(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", counted)
+        for argv in (
+            ["verify-counterexample", "--bound", "21000", "--csv"],
+            ["sumset", "--set", "squares", "--h", "2", "--bound", "100"],
+            ["order", "--set", "squares", "--bound", "100", "--hmax", "4"],
+            ["density", "--set", "squares", "--subseq", "10^k", "--terms", "2", "--plot-data"],
+            ["stability", "--set", "counterexample", "--add", "3", "--h", "3",
+             "--subseq", "2*10^k+1", "--terms", "2", "--bound", "2100"],
+            ["probe", "--set", "squares", "--h", "4", "--subseq", "10^k", "--terms", "2"],
+        ):
+            calls.clear()
+            code, _, err = run_cli(capsys, *argv)
+            assert code == 0, err
+            assert calls == [f"addbasis {argv[0]}"]
+
+    def test_argv_defaults_to_sys_argv(self, capsys, monkeypatch):
+        argv = ["addbasis", "sumset", "--set", "explicit{0}", "--h", "2", "--bound", "3"]
+        monkeypatch.setattr(sys, "argv", argv)
+        assert main() == 0
+        assert json.loads(capsys.readouterr().out)["result"]["gaps"] == [1, 2, 3]
+        monkeypatch.setattr(sys, "argv", ["addbasis", "--help"])
+        assert main() == 0
+        assert capsys.readouterr().out.startswith("usage: addbasis")
 
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
