@@ -135,10 +135,10 @@ def _shift_or_words(
     allocate nothing and meet only when joined.
 
     A fold that may come close to full ORs the members in ascending batches
-    of 1, 1, 2, 4, 8, ... with smallest-part windows, and counts the
-    accumulator's zeros after each; its last batch, if it reaches one, takes
-    the cheaper window, since a sum whose smallest parts no earlier batch
-    held has its largest parts there.  Once at most one zero per
+    of 1, 1, 2, 4, 8, ... with smallest-part windows, and counts the zeros
+    of the whole accumulator after each; its last batch, if it reaches one,
+    takes the cheaper window, since a sum whose smallest parts no earlier
+    batch held has its largest parts there.  Once at most one zero per
     ``GAP_TEST_WORDS`` words is left, testing the zeros against the
     remaining members costs less than ORing those, so the fold ends in
     ``_gap_runs`` and returns run-backed.  After its smallest member a fold
@@ -179,8 +179,8 @@ def _shift_or_words(
     checked = free * GAP_TEST_WORDS <= total * words
     src = inner._padded_bytes()
     acc = np.zeros(words, dtype="<u8")
-    # each range's buffer and carry, allocated here: a worker's own
-    # allocations would each take a malloc arena
+    # each range's buffer and carry, touched only by the thread that folds
+    # the range; allocated here, as a worker's own would each take a malloc arena
     jobs = [(lo, hi, np.empty(hi - lo + 1, "<u8"), np.empty(hi - lo, "<u8")) for lo, hi in spans]
     errors: list[BaseException] = []
 
@@ -229,49 +229,37 @@ def _shift_or_words(
 
     below_bound = np.uint64((1 << (bound % 64 + 1)) - 1)  # last word's bits up to bound
     done, zeros = 0, None
-    while done < total:
+    while True:
         end = min(max(2 * done, 1), total) if checked else total
         fold(members[done:end], largest and end == total)
         done = end
-        if done == total:
-            break
         acc[-1] &= below_bound
-        # each range's carry takes its words' bit counts
-        last, zeros = zeros, bound + 1 - sum(
-            int(np.bitwise_count(acc[lo:hi], out=carry.view(np.uint8)[: hi - lo]).sum())
-            for lo, hi, _, carry in jobs
-        )
+        if done == total:
+            del src, jobs  # not held while the result is counted and copied
+            return PrefixBitset.from_bytes(bound, acc.tobytes(), int(np.bitwise_count(acc).sum()))
+        last, zeros = zeros, bound + 1 - int(np.bitwise_count(acc).sum())
         if zeros * GAP_TEST_WORDS <= words:
-            return PrefixBitset.from_runs(bound, _gap_runs(acc, jobs, src, members[done:], bound))
+            return PrefixBitset.from_runs(bound, _gap_runs(acc, src, members[done:], bound))
         checked = last is None or 2 * zeros <= last
-    del src, jobs
-    acc[-1] &= below_bound
-    return PrefixBitset.from_bytes(bound, acc.tobytes(), int(np.bitwise_count(acc).sum()))
 
 
-def _gap_runs(acc, jobs, src, rest, bound: int) -> list[tuple[int, int]]:
+def _gap_runs(acc, src, rest, bound: int) -> list[tuple[int, int]]:
     """The runs between the gaps of ``_shift_or_words``'s fold: the zeros of
     ``acc`` in ``[0, bound]`` that no remaining member in ``rest`` (ascending)
     reaches with a member of ``inner``, whose bytes are ``src``.
 
-    Each range's carry marks its words that hold a zero, and only those
-    words are unpacked.  A zero ``g`` is hit by ``m`` iff ``g - m >= 0`` is a
-    member of ``inner``, so each block of members gathers those bits for
-    every zero still left, and the block is sized so that each of its index
-    arrays is at most an eighth of the mask.  The test stops when no zero is
-    left, or no member is at most the last one.
+    One comparison finds the words of ``acc`` that hold a zero, and only
+    those words are unpacked.  A zero ``g`` is hit by ``m`` iff ``g - m >= 0``
+    is a member of ``inner``, so each block of members gathers those bits
+    for every zero still left, and the block is sized so that each of its
+    index arrays is at most an eighth of the mask.  The test stops when no
+    zero is left, or no member is at most the last one.
     """
     import numpy as np
 
-    found = []
-    for lo, hi, _, carry in jobs:
-        part = acc[lo:hi]
-        short = carry.view(np.bool_)[: hi - lo]
-        np.not_equal(part, np.uint64(2**64 - 1), out=short)
-        at = np.flatnonzero(short)
-        holes = np.flatnonzero(np.unpackbits((~part[at]).view(np.uint8), bitorder="little"))
-        found.append((at[holes >> 6] + lo) * 64 + (holes & 63))
-    gaps = np.concatenate(found)
+    at = np.flatnonzero(acc != 2**64 - 1)
+    holes = np.flatnonzero(np.unpackbits((~acc[at]).view(np.uint8), bitorder="little"))
+    gaps = at[holes >> 6] * 64 + (holes & 63)
     gaps = gaps[gaps <= bound]
     pairs = max(1, len(acc) // 8)
     i = 0

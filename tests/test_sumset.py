@@ -266,20 +266,30 @@ class TestShiftOrLoops:
 
     def test_numpy_loop_memory(self, monkeypatch):
         # the loop holds the accumulator, inner's bytes and one buffer and
-        # carry per range, about 4 masks, and at most 2 at the int conversion
+        # carry per range, about 4 masks, plus an eighth of a mask of bit
+        # counts and the sum's cast buffer (up to 8,192 words, about a mask
+        # at this size) at each popcount, and at most 2 at the bytes
+        # conversion.  2A + A takes no checkpoints; a sparse outer on a dense
+        # inner with few gaps takes them and ends in the gap test
         monkeypatch.setattr(sumset_module, "SHIFT_OR_RANGE_WORDS", self.FLOOR)
         squares = materialize(Powers(2), 64 * 4 * self.FLOOR)
-        twice = iterate_sumset(Powers(2), 2, squares.bound).bits
-        mask_bytes = (squares.bound // 64 + 1) * 8
-        for cpus in (1, 3):
-            monkeypatch.setattr(sumset_module, "_usable_cpus", lambda: cpus)
-            tracemalloc.start()
-            try:
-                pair_sumset(twice, squares, squares.bound)
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-            assert peak <= 5.5 * mask_bytes, (cpus, peak / mask_bytes)
+        bound = squares.bound
+        twice = iterate_sumset(Powers(2), 2, bound).bits
+        rng = random.Random(14)
+        sparse = PrefixBitset(bound, random_mask(rng, bound, 40) | 1)
+        few_gaps = PrefixBitset(bound, full_mask(bound) & ~random_mask(rng, bound, 100))
+        mask_bytes = (bound // 64 + 1) * 8
+        for name, p, q in (("2A + A", twice, squares), ("gap test", sparse, few_gaps)):
+            for cpus in (1, 3):
+                monkeypatch.setattr(sumset_module, "_usable_cpus", lambda: cpus)
+                tracemalloc.start()
+                try:
+                    bits = pair_sumset(p, q, bound)
+                    peak = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+                assert (bits._runs is not None) == (name == "gap test"), (name, cpus)
+                assert peak <= 5.5 * mask_bytes, (name, cpus, peak / mask_bytes)
 
     def test_worker_error_reaches_the_caller(self, monkeypatch):
         monkeypatch.setattr(sumset_module, "_usable_cpus", lambda: 3)
@@ -427,18 +437,93 @@ class TestGapPath:
                     assert (bits._runs is not None) == ("empty" not in name), name
 
     @staticmethod
-    def count_checkpoints(monkeypatch):
-        """Lists each zero count of the numpy loop: one per range per checkpoint."""
+    def naive_gap_runs(acc, inner, rest, bound):
+        """``_gap_runs`` the slow way: the runs of ``[0, bound]`` less the
+        zeros of ``acc`` (an int) that no ``m`` in ``rest`` reaches with a
+        member of ``inner`` (an int)."""
+        covered = [
+            acc >> n & 1 or any(n >= m and inner >> (n - m) & 1 for m in rest)
+            for n in range(bound + 1)
+        ]
+        runs, start = [], None
+        for n, hit in enumerate(covered):
+            if hit and start is None:
+                start = n
+            elif not hit and start is not None:
+                runs.append((start, n - 1))
+                start = None
+        if start is not None:
+            runs.append((start, bound))
+        return runs
+
+    @staticmethod
+    def gap_runs_cases(rng):
+        """(name, bound, acc, inner, rest): ``acc`` and ``inner`` as ints,
+        ``rest`` ascending; ``acc`` has no bit above ``bound``, as the loop
+        hands it over."""
+        bound = 64 * 20 - 1
+        full = full_mask(bound)
+        inner = full & ~random_mask(rng, bound, 40)
+        rest = sorted(rng.sample(range(1, bound + 1), 15))
+        edges = 1 | 1 << 5 | 1 << (bound - 1) | 1 << bound
+        yield "zeros in the first and last words", bound, full & ~edges, inner, rest
+        yield "a first word of zeros", bound, full & ~((1 << 64) - 1), inner, rest
+        short = 64 * 20 - 30  # the last word's top 29 bits lie above the bound
+        below = full_mask(short)
+        yield "zeros above the bound", short, below & ~(1 << 3 | 1 << short), inner & below, rest
+        yield "zeros above the bound only", short, below, inner & below, rest
+        scattered = full & ~random_mask(rng, bound, 25)
+        yield "empty rest", bound, scattered, inner, []
+        gaps = [n for n in range(bound + 1) if not scattered >> n & 1]
+        yield "rest above the last gap", bound, scattered, inner, sorted({gaps[-1] + 1, bound})
+        many = sorted(rng.sample(range(bound + 1), 60))
+        yield "one zero, many members", bound, full & ~(1 << 1000), random_mask(rng, bound, 30), many
+        # 160 words give blocks of 20 // len(gaps) members: one for every
+        # block while more than 10 zeros are left
+        wide = 64 * 160 - 1
+        acc = full_mask(wide) & ~random_mask(rng, wide, 60)
+        few = sorted(rng.sample(range(wide + 1), 12))
+        yield "one member per block", wide, acc, random_mask(rng, wide, 30), few
+        yield "empty inner", bound, scattered, 0, rest
+        for _ in range(40):
+            b = rng.randint(0, 700)
+            rest = sorted(rng.sample(range(b + 1), rng.randint(0, min(b + 1, 20))))
+            acc = full_mask(b) & ~random_mask(rng, b, rng.randint(0, 40))
+            yield "random", b, acc, random_mask(rng, b, rng.randint(0, b + 1)), rest
+
+    def test_gap_runs_alone(self):
+        rng = random.Random(24)
+        for name, bound, acc, inner, rest in self.gap_runs_cases(rng):
+            words = bound // 64 + 1
+            acc_words = np.frombuffer(acc.to_bytes(words * 8, "little"), "<u8")
+            src = PrefixBitset(bound, inner)._padded_bytes()
+            got = sumset_module._gap_runs(acc_words, src, np.array(rest, np.int64), bound)
+            want = self.naive_gap_runs(acc, inner, rest, bound)
+            assert got == want, (name, bound)
+            if name == "one member per block":
+                # the zeros only shrink, so every block had at least as many
+                gaps_left = bound + 1 - sum(hi - lo + 1 for lo, hi in got)
+                assert words // 8 // gaps_left <= 1, gaps_left
+
+    @staticmethod
+    def count_popcounts(monkeypatch):
+        """Lists each popcount of the numpy loop's accumulator, one per batch:
+        a checkpoint's zero count, or, after the last batch, the result's."""
         counted = []
         count = np.bitwise_count
 
         def count_listed(*args, **kwargs):
-            if "out" in kwargs:  # a checkpoint writes into a range's carry; the result's popcount does not
-                counted.append(1)
+            counted.append(1)
             return count(*args, **kwargs)
 
         monkeypatch.setattr(np, "bitwise_count", count_listed)
         return counted
+
+    @staticmethod
+    def checkpoints(counted, bits):
+        """The checkpoints among ``counted``: every popcount but the result's,
+        which a fold that ends in the gap test does not take."""
+        return len(counted) - (bits._runs is None)
 
     def test_checkpoints_only_where_a_switch_is_free(self, monkeypatch):
         # 50 outer members from 7 up, and an inner with 93 gaps: at most 100
@@ -451,13 +536,15 @@ class TestGapPath:
         monkeypatch.setattr(sumset_module, "SHIFT_OR_NUMPY_WORDS", 2**63)
         want = pair_sumset(outer, inner, bound)
         monkeypatch.setattr(sumset_module, "SHIFT_OR_NUMPY_WORDS", 0)
-        counted = self.count_checkpoints(monkeypatch)
+        counted = self.count_popcounts(monkeypatch)
         monkeypatch.setattr(sumset_module, "GAP_TEST_WORDS", 513)
         got = pair_sumset(outer, inner, bound)
-        assert (counted, got._runs, got) == ([], None, want)
+        assert (self.checkpoints(counted, got), got._runs, got) == (0, None, want)
+        counted.clear()
         monkeypatch.setattr(sumset_module, "GAP_TEST_WORDS", 512)
-        assert pair_sumset(outer, inner, bound) == want
-        assert counted
+        got = pair_sumset(outer, inner, bound)
+        assert got == want
+        assert self.checkpoints(counted, got) >= 1
 
     def test_checkpoints_stop_when_zeros_do_not_halve(self, monkeypatch):
         # 300 outer members and a sparse inner: the zeros barely fall, so
@@ -470,9 +557,9 @@ class TestGapPath:
         want = pair_sumset(outer, inner, bound)
         monkeypatch.setattr(sumset_module, "SHIFT_OR_NUMPY_WORDS", 0)
         monkeypatch.setattr(sumset_module, "GAP_TEST_WORDS", 4)
-        counted = self.count_checkpoints(monkeypatch)
+        counted = self.count_popcounts(monkeypatch)
         got = pair_sumset(outer, inner, bound)
-        assert (len(counted), got._runs, got) == (2, None, want)
+        assert (self.checkpoints(counted, got), got._runs, got) == (2, None, want)
 
 
 class BatchThread(InlineThread):
