@@ -101,9 +101,12 @@ def parse_subseq(text: str, start: int = 1, count: int = 1) -> SubseqSpec:
     if m is None:
         raise SemanticError(f"cannot parse subsequence {text!r}")
     a_s, base_s, sign, c_s = m.groups()
-    a = int(a_s) if a_s is not None else 1
-    base = int(base_s) if base_s is not None else None
-    c = int(c_s) if c_s is not None else 0
+    try:
+        a = int(a_s) if a_s is not None else 1
+        base = int(base_s) if base_s is not None else None
+        c = int(c_s) if c_s is not None else 0
+    except ValueError:  # past int's limit on decimal digits
+        raise SemanticError(f"subsequence literal too long in {text[:40]!r}...") from None
     if sign == "-":
         c = -c
     return SubseqSpec(a=a, base=base, c=c, start=start, count=count)

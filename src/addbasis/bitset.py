@@ -7,7 +7,9 @@ answer every query from them, at a cost set by the run count; a mask, bit
 needs one.  A mask has one format at every size: the little-endian bytes
 of whole 64-bit words (``mask_size``), in which the numpy shift-OR loop ORs
 in place (``sumset.pair_sumset``), so each fold hands its bytes to the next
-fold and to every query unconverted.
+fold and to every query unconverted.  Its members and its gaps are listed
+by one regex scan per polarity (``iter_bits``), and its first gap is the
+first that ``gaps`` lists.
 """
 
 from __future__ import annotations
@@ -17,10 +19,11 @@ from bisect import bisect_left, bisect_right
 from itertools import chain, takewhile
 from typing import Iterator, Sequence
 
-# Set-bit offsets per byte value; stretches of bytes that hold a set bit, or
-# a clear one, and the leading full bytes, compiled by ``re`` at first use.
+# Set-bit offsets per byte value; and per polarity a scan that always
+# matches: it skips the bytes without a set bit (or a clear one) and takes
+# up to 256 bytes that hold one, compiled by ``re`` at first use.
 _BYTE_BITS = tuple(tuple(b for b in range(8) if (v >> b) & 1) for v in range(256))
-_SET_STRETCH, _CLEAR_STRETCH, _FULL_BYTES = rb"[^\x00]+", rb"[^\xff]+", rb"\xff*"
+_SET_SCAN, _CLEAR_SCAN = rb"\x00*([^\x00]{0,256})", rb"\xff*([^\xff]{0,256})"
 
 
 def full_mask(bound: int) -> int:
@@ -37,17 +40,15 @@ def mask_size(bound: int) -> int:
     return (bound // 64 + 1) * 8
 
 
-def runs_bytes(runs: Sequence[tuple[int, int]], size: int, out=None):
+def runs_bytes(runs: Sequence[tuple[int, int]], size: int) -> bytearray:
     """The little-endian bit bytes of the disjoint sorted runs ``(lo, hi)``,
-    ``size`` bytes long, which must hold the last run's ``hi``: a new
-    bytearray, or ``out``, a zeroed numpy uint8 array of ``size`` bytes,
-    written in place and returned.
+    as a new bytearray of ``size`` bytes, which must hold the last run's
+    ``hi``.
 
     O(size + runs): ORing one big integer per run would copy the whole mask
-    per run.  In ``out`` a run's middle bytes are filled in place; in a
-    bytearray they are copied from a temporary of their length.
+    per run; a run's middle bytes are copied from a temporary of their length.
     """
-    buf = bytearray(size) if out is None else memoryview(out)
+    buf = bytearray(size)
     for lo, hi in runs:
         a, b = lo >> 3, hi >> 3
         if a == b:
@@ -56,23 +57,21 @@ def runs_bytes(runs: Sequence[tuple[int, int]], size: int, out=None):
             # disjoint runs share at most their edge bytes, so the middle
             # bytes can be overwritten
             buf[a] |= (0xFF << (lo & 7)) & 0xFF
-            if out is None:
-                buf[a + 1 : b] = b"\xff" * (b - a - 1)
-            else:
-                out[a + 1 : b] = 0xFF
+            buf[a + 1 : b] = b"\xff" * (b - a - 1)
             buf[b] |= 0xFF >> (7 - (hi & 7))
-    return buf if out is None else out
+    return buf
 
 
 def iter_bits(buf: bytes, clear: bool = False) -> Iterator[int]:
     """Yield the indices of the set bits of the little-endian bytes ``buf``,
     or with ``clear`` of its clear bits, in ascending order."""
-    view, flip = memoryview(buf), 0xFF if clear else 0
+    flip = 0xFF if clear else 0
     # the regex engine skips the other bytes in C; a stretch per match keeps
-    # the per-match overhead off dense masks, and the view does not copy it
-    for stretch in re.finditer(_CLEAR_STRETCH if clear else _SET_STRETCH, buf):
-        base = stretch.start() << 3
-        for byte in view[stretch.start() : stretch.end()]:
+    # the per-match overhead off dense masks, and its cap lets the first bits
+    # out before a long stretch is read and bounds the bytes each match copies
+    for stretch in re.finditer(_CLEAR_SCAN if clear else _SET_SCAN, buf):
+        base = stretch.start(1) << 3
+        for byte in stretch.group(1):
             for off in _BYTE_BITS[byte ^ flip]:
                 yield base + off
             base += 8
@@ -154,13 +153,12 @@ class PrefixBitset:
 
     def _padded_bytes(self):
         """The ``mask_size(bound)`` mask bytes as a numpy uint8 array: a view
-        of the mask, or built from the runs when run-backed.  Imports numpy."""
+        of the mask, or of its bytes built from the runs when run-backed.
+        Imports numpy."""
         import numpy as np
 
-        if self._runs is not None:
-            size = mask_size(self.bound)
-            return runs_bytes(self._runs, size, np.zeros(size, np.uint8))
-        return np.frombuffer(self._buf, np.uint8)
+        buf = self._buf if self._runs is None else runs_bytes(self._runs, mask_size(self.bound))
+        return np.frombuffer(buf, np.uint8)
 
     def _member_array(self):
         """The members in ascending order, as one int64 numpy array; built on
@@ -256,14 +254,9 @@ class PrefixBitset:
     def first_gap(self) -> int | None:
         """Smallest non-member in ``[0, bound]``, or None if full."""
         runs = self._runs
-        if runs is not None:
-            gap = runs[0][1] + 1 if runs and runs[0][0] == 0 else 0
-        else:
-            # the first byte that is not full holds the gap at its lowest
-            # zero, up to which b ^ (b + 1) sets every bit; with all full, past the bound
-            i = re.match(_FULL_BYTES, self._buf).end()
-            byte = self._buf[i] if i < len(self._buf) else 0
-            gap = i * 8 + (byte ^ (byte + 1)).bit_length() - 1
+        if runs is None:
+            return next(self.gaps(), None)
+        gap = runs[0][1] + 1 if runs and runs[0][0] == 0 else 0
         return gap if gap <= self.bound else None
 
     def __eq__(self, other: object) -> bool:

@@ -359,11 +359,9 @@ def _split_words(starts, ends, words: int, cpus: int) -> list[tuple[int, int]]:
     total = work(words - 1)
     cuts = [0]
     for i in range(1, k):
-        share, lo, hi = total * i // k, 0, words - 1
-        while lo < hi:  # the first word at which the work reaches its share
-            mid = (lo + hi) // 2
-            lo, hi = (lo, mid) if work(mid) >= share else (mid + 1, hi)
-        cuts.append(min(max(lo, cuts[-1] + floor), words - (k - i) * floor))
+        # the first word at which the work reaches its share, else the last
+        cut = bisect_left(range(words - 1), total * i // k, key=work)
+        cuts.append(min(max(cut, cuts[-1] + floor), words - (k - i) * floor))
     cuts.append(words)
     return list(zip(cuts, cuts[1:]))
 

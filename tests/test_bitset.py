@@ -32,6 +32,68 @@ def test_iter_bits_sparse_mask():
     assert list(iter_bits((full & ~mask).to_bytes(375_001, "little"), clear=True)) == bits
 
 
+def naive_bits(buf, clear=False, bound=None):
+    """The indices of the set (or clear) bits of ``buf`` up to ``bound``, one bit at a time."""
+    top = 8 * len(buf) - 1 if bound is None else bound
+    return [i for i in range(top + 1) if (buf[i >> 3] >> (i & 7)) & 1 != clear]
+
+
+def scanner_cases():
+    """Byte strings around the scan's edges: stretches of bytes that hold a
+    hit on either side of its 256-byte cap, long skips of empty and of full
+    bytes, masks that are all one byte, and a lone bit in the last byte."""
+    rng = random.Random(30)
+    cases = {}
+    for n in (255, 256, 257, 513):
+        mixed = bytes(rng.randrange(1, 255) for _ in range(n))  # neither empty nor full
+        cases[f"mixed-{n}-in-zeros"] = bytes(3) + mixed + bytes(5)
+        cases[f"mixed-{n}-in-full"] = b"\xff" * 3 + mixed + b"\xff" * 5
+        cases[f"full-{n}-in-zeros"] = bytes(2) + b"\xff" * n + bytes(2)
+        cases[f"zeros-{n}-in-full"] = b"\xff" * 2 + bytes(n) + b"\xff" * 2
+    cases["zeros-past-1kb"] = bytes(1500) + b"\x10" + bytes(2000) + b"\x01" + bytes(9)
+    cases["full-past-1kb"] = b"\xff" * 1500 + b"\xef" + b"\xff" * 2000 + b"\xfe" + b"\xff" * 9
+    cases["long-stretches-apart"] = bytes(1100) + cases["mixed-513-in-zeros"] + bytes(1100) + b"\xff" * 700
+    cases["all-full"] = b"\xff" * 2048
+    cases["all-empty"] = bytes(2048)
+    cases["bit-in-last-byte"] = bytes(1030) + b"\x80"
+    cases["gap-in-last-byte"] = b"\xff" * 1030 + b"\x7f"
+    return cases
+
+
+SCANNER_CASES = scanner_cases()
+
+
+@pytest.mark.parametrize("buf", SCANNER_CASES.values(), ids=SCANNER_CASES.keys())
+def test_iter_bits_past_the_stretch_cap(buf):
+    assert list(iter_bits(buf)) == naive_bits(buf)
+    assert list(iter_bits(buf, clear=True)) == naive_bits(buf, clear=True)
+
+
+@pytest.mark.parametrize("buf", SCANNER_CASES.values(), ids=SCANNER_CASES.keys())
+def test_gaps_and_first_gap_past_the_stretch_cap(buf):
+    # bounds at a byte's last bit and at its first, so the last byte's
+    # upper bits lie past the bound and are no gaps
+    for bound in (8 * len(buf) - 1, 8 * len(buf) - 8):
+        gaps = naive_bits(buf, clear=True, bound=bound)
+        masked = PrefixBitset(bound, int.from_bytes(buf, "little") & full_mask(bound))
+        members = Explicit(tuple(naive_bits(buf, bound=bound)))
+        runs = PrefixBitset.from_runs(bound, expr_runs(members, bound))
+        for bits in (masked, runs):
+            assert list(bits.gaps()) == gaps
+            assert bits.first_gap() == next(bits.gaps(), None) == (gaps[0] if gaps else None)
+
+
+@pytest.mark.parametrize("bound", [0, 1, 7, 8, 15, 56, 63, 64, 2047, 2048])
+def test_first_gap_is_the_first_of_gaps(bound):
+    # empty, full, a gap only at the bound and a gap only at 0
+    for members in ([], range(bound + 1), range(bound), range(1, bound + 1)):
+        masked = PrefixBitset(bound, sum(1 << m for m in members))
+        runs = PrefixBitset.from_runs(bound, expr_runs(Explicit(tuple(members)), bound))
+        for bits in (masked, runs):
+            want = next((i for i in range(bound + 1) if i not in members), None)
+            assert bits.first_gap() == next(bits.gaps(), None) == want, (bound, members)
+
+
 @given(st.lists(st.integers(0, 40), max_size=12), st.integers(0, 100))
 def test_runs_bytes_matches_naive(cuts, slack):
     # disjoint runs from sorted distinct cuts, edges falling anywhere in a byte

@@ -342,6 +342,21 @@ class TestExitCodes:
         assert out == ""
         assert "64-bit" in err
 
+    def test_subseq_literal_past_int_digit_limit(self, capsys):
+        # int() refuses a decimal literal of more than 4,300 digits with a
+        # plain ValueError, which main would report as its own failure
+        nines = "9" * 5000
+        for subseq in (f"{nines}*k", f"{nines}^k", f"k+{nines}", f"2*10^k-{nines}"):
+            for argv in (
+                ["density", "--set", "squares", "--subseq", subseq, "--terms", "2"],
+                ["probe", "--set", "squares", "--h", "3", "--subseq", subseq, "--terms", "2"],
+                ["stability", "--set", "squares", "--h", "3", "--subseq", subseq,
+                 "--terms", "2", "--bound", "100"],
+            ):
+                code, out, err = run_cli(capsys, *argv)
+                assert (code, out) == (2, ""), (argv[0], subseq[-8:], err)
+                assert "subsequence literal too long" in err
+
     def test_fold_count_past_bound(self, capsys):
         # more folds than max(bound, 1) add nothing, so they are refused before any work
         for argv in (

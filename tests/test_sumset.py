@@ -905,29 +905,39 @@ class TestKernelSelection:
 # every module that binds runs_bytes: masks are built from runs by
 # materialize and by a run-backed prefix at each read of its .mask, which
 # only the Python-int loop makes, on its inner operand; the numpy loop's
-# operand bytes are written into an ``out`` array instead
+# operand bytes are built by _padded_bytes, which calls it too
 MASK_BINDINGS = (bitset_module, setexpr_module)
 
 
 @pytest.fixture
 def walks(monkeypatch):
     """Counts walks of A's runs through both the setexpr and the sumset
-    bindings, and lists the runs of every mask built from runs."""
+    bindings, and lists the runs of every mask built from runs, apart from
+    the numpy operand bytes that ``_padded_bytes`` builds."""
     calls = {"expr_runs": 0, "masked": []}
+    padding = []  # non-empty while _padded_bytes runs
 
     def expr_runs_counted(*args, fn=expr_runs):
         calls["expr_runs"] += 1
         return fn(*args)
 
-    def runs_bytes_listed(runs, size, out=None, fn=bitset_module.runs_bytes):
-        if out is None:
+    def runs_bytes_listed(runs, size, fn=bitset_module.runs_bytes):
+        if not padding:
             calls["masked"].append(list(runs))
-        return fn(runs, size, out)
+        return fn(runs, size)
+
+    def padded_bytes_marked(bits, fn=PrefixBitset._padded_bytes):
+        padding.append(bits)
+        try:
+            return fn(bits)
+        finally:
+            padding.pop()
 
     for module in (setexpr_module, sumset_module):
         monkeypatch.setattr(module, "expr_runs", expr_runs_counted)
     for module in MASK_BINDINGS:
         monkeypatch.setattr(module, "runs_bytes", runs_bytes_listed)
+    monkeypatch.setattr(PrefixBitset, "_padded_bytes", padded_bytes_marked)
     return calls
 
 
@@ -1019,7 +1029,7 @@ class TestFoldChain:
         assert folds == [PrefixBitset.from_runs(20_000, runs) for runs in want]
 
     def test_counterexample_verify_builds_no_mask(self, monkeypatch):
-        def refuse(runs, size, out=None):
+        def refuse(runs, size):
             raise AssertionError(f"mask built from {len(runs)} runs in {size} bytes")
 
         for module in MASK_BINDINGS:
