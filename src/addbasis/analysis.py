@@ -20,11 +20,6 @@ from .setexpr import SemanticError, SetExpr, U64_MAX
 from .sumset import iterate_sumset, sumset_folds
 
 
-class TermOverflowError(SemanticError, OverflowError):
-    """A subsequence term past ``2^64 - 1``: an input the commands refuse,
-    and an overflow to callers that catch those."""
-
-
 @dataclass(frozen=True)
 class SubseqSpec:
     """Index sequence ``n_k = a*base^k + c``, or ``a*k + c`` when base is None.
@@ -50,7 +45,7 @@ class SubseqSpec:
             raise SemanticError(f"subsequence count must be >= 1, got {self.count}")
 
     def term(self, k: int) -> int:
-        """``n_k``; raises ``TermOverflowError`` above ``2^64 - 1``."""
+        """``n_k``; raises ``SemanticError`` above ``2^64 - 1``."""
         if self.base is None:
             n = self.a * k + self.c
         elif self.a == 0:
@@ -60,7 +55,7 @@ class SubseqSpec:
         else:
             n = self.a * self.base**k + self.c
         if n is None or n > U64_MAX:
-            raise TermOverflowError(f"subsequence term n_{k} exceeds the 64-bit natural range")
+            raise SemanticError(f"subsequence term n_{k} exceeds the 64-bit natural range")
         return n
 
     def indexed_terms(self) -> tuple[tuple[int, int], ...]:

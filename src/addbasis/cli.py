@@ -5,17 +5,19 @@ A result echoes its inputs and adds the library report's fields through
 ``verify-counterexample`` build theirs from listings and PASS/FAIL verdicts.
 
 Exit codes: 0 success, 2 precondition or usage violation (a ``ParseError``,
-``SemanticError`` or ``BoundCeilingError``, or an argparse error), 3 internal
-failure: a mathematical claim or certificate did not hold, a report failed
-its shape check, or the library raised any other ``ValueError`` or
-``OverflowError``.
+``SemanticError`` or ``BoundCeilingError``, or an argparse error) or a
+command that ran out of memory (``MemoryError``), 3 internal failure: a
+mathematical claim or certificate did not hold, a report failed its shape
+check, or the library raised any other ``ValueError`` or ``OverflowError``.
 
 ``main(argv)`` may be called repeatedly in one process: the parsers are built
 once, on first use, and hold only argument definitions.  Each call is parsed
 once, by its command's own parser; help, an unknown command and a missing
 one still go through the top-level parser, so every message and exit code is
-the one ``build_parser().parse_args(argv)`` gives.  Each call picks its
-command's handler by name from this module when it runs.
+the one ``build_parser().parse_args(argv)`` gives.  Each call parses its set
+expression once, into ``args.expr`` (``verify-counterexample``'s is the
+counterexample), and picks its command's handler by name from this module
+when it runs.
 """
 
 from __future__ import annotations
@@ -117,8 +119,7 @@ def _subseq(args) -> SubseqSpec:
 
 def _cmd_sumset(args) -> tuple[dict, int]:
     _check_folds("--h", args.h, args.h, args.bound)
-    expr = parse_set_expr(args.set)
-    result = iterate_sumset(expr, args.h, args.bound)
+    result = iterate_sumset(args.expr, args.h, args.bound)
     members, members_truncated = _take(result.bits.members(), args.limit)
     gaps, gaps_truncated = _take(result.bits.gaps(), args.limit)
     payload = {
@@ -138,8 +139,7 @@ def _cmd_sumset(args) -> tuple[dict, int]:
 
 def _cmd_order(args) -> tuple[dict, int]:
     _check_folds("--hmax", args.hmax, args.hmax, args.bound)
-    expr = parse_set_expr(args.set)
-    rep = order_bounds(expr, args.bound, args.hmax)
+    rep = order_bounds(args.expr, args.bound, args.hmax)
     payload = {
         "set": args.set,
         **jsonable(rep),
@@ -152,10 +152,9 @@ def _cmd_order(args) -> tuple[dict, int]:
 
 
 def _cmd_density(args) -> tuple[dict, int]:
-    expr = parse_set_expr(args.set)
     subseq = _subseq(args)
     _check_folds("--t", args.t, args.t, subseq.indexed_terms()[-1][1])
-    rep = density_sequence(expr, args.t, subseq)
+    rep = density_sequence(args.expr, args.t, subseq)
     min_ratio, max_ratio = window_extrema(rep.rows)
     payload = {
         "set": args.set,
@@ -171,19 +170,17 @@ def _cmd_density(args) -> tuple[dict, int]:
 
 
 def _cmd_stability(args) -> tuple[dict, int]:
-    expr = parse_set_expr(args.set)
     family = _subseq(args)
     _check_folds("--h", args.h, args.h - 1, args.bound)
-    rep = stability_probe(expr, args.add, args.h, family, args.bound)
+    rep = stability_probe(args.expr, args.add, args.h, family, args.bound)
     payload = {"set": args.set, "start": args.start, "terms": args.terms, **jsonable(rep)}
     return payload, 0
 
 
 def _cmd_probe(args) -> tuple[dict, int]:
-    expr = parse_set_expr(args.set)
     subseq = _subseq(args)
     _check_folds("--h", args.h, args.h - 1, subseq.indexed_terms()[-1][1])
-    rep = hypothesis_probe(expr, args.h, subseq)
+    rep = hypothesis_probe(args.expr, args.h, subseq)
     payload = {
         "set": args.set,
         "subseq": str(subseq),
@@ -333,6 +330,7 @@ def main(argv: list[str] | None = None) -> int:
     }[args.command]
     started = time.perf_counter()
     try:
+        args.expr = parse_set_expr(args.set)
         result, status = handler(args)
     except VerificationError as exc:
         print(f"error: internal verification failure: {exc}", file=sys.stderr)
@@ -340,6 +338,10 @@ def main(argv: list[str] | None = None) -> int:
     # the input errors; any other ValueError or OverflowError is our fault
     except (ParseError, SemanticError, BoundCeilingError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    # the bound the caller asked for does not fit in this process's memory
+    except MemoryError:
+        print(f"error: {args.command} ran out of memory; a lower bound may fit", file=sys.stderr)
         return 2
     except (OverflowError, ValueError) as exc:
         print(f"error: internal failure: {exc}", file=sys.stderr)

@@ -86,7 +86,9 @@ _LEAF_TEXT = {
 
 def canonical_json(report: dict[str, Any]) -> str:
     """``report`` as ``json.dumps(report, sort_keys=True, indent=2)`` writes
-    it, plus a newline; object keys must be strings."""
+    it, plus a newline.  Object keys must be strings, and every leaf exactly
+    a ``str``, ``int``, ``float``, ``bool`` or None; any other leaf, a
+    subclass of these too, raises ``TypeError``."""
     out: list[str] = []
     _write(report, "\n", out)
     out.append("\n")
@@ -126,13 +128,6 @@ def _write(value: Any, indent: str, out: list[str]) -> None:
             _write(item, inner, out)
             sep = comma
         out.append(indent + "]")
-    # subclasses of the leaf types, written as json.dumps writes them
-    elif isinstance(value, str):
-        out.append(_escape(value))
-    elif isinstance(value, int):
-        out.append(int.__repr__(value))
-    elif isinstance(value, float):
-        out.append(_float_text(value))
     else:
         raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 

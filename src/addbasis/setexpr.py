@@ -63,7 +63,7 @@ class SemanticError(ValueError):
 
 class BoundCeilingError(ValueError):
     """Materialization bound above the configured memory ceiling, or a
-    ceiling setting that is not a natural number."""
+    ceiling setting that is not a natural number in ASCII digits."""
 
 
 def bound_ceiling() -> int:
@@ -71,13 +71,10 @@ def bound_ceiling() -> int:
     raw = os.environ.get(MAX_BOUND_ENV)
     if raw is None:
         return DEFAULT_BOUND_CEILING
-    try:
-        value = int(raw)
-    except ValueError:
-        raise BoundCeilingError(f"{MAX_BOUND_ENV} must be an integer, got {raw!r}") from None
-    if value < 0:
-        raise BoundCeilingError(f"{MAX_BOUND_ENV} must be >= 0, got {value}")
-    return value
+    # in ASCII digits alone, as the numeric options are written
+    if not (raw.isascii() and raw.isdigit()):
+        raise BoundCeilingError(f"{MAX_BOUND_ENV} must be an integer in ASCII digits, got {raw!r}")
+    return int(raw)
 
 
 def check_bound(bound: int) -> None:

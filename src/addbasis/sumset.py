@@ -61,9 +61,9 @@ def pair_sumset(
     kernel iterates over the sparser side since cost is popcount x words
     (tie broken toward the left operand; the result is identical either way).
     ``folds``, when given, states that ``P`` is the ``folds``-fold sumset of
-    ``Q`` (``0Q`` is ``{0}``), as ``sumset_folds`` passes it; ``P is Q``
-    states the same for 1.  Nothing checks the statement: a wrong one gives
-    a wrong sumset, and a negative count is refused.
+    ``Q`` (``0Q`` is ``{0}``), as ``sumset_folds`` passes it; the fold count
+    comes only from it.  Nothing checks the statement: a wrong one gives a
+    wrong sumset, and a negative count is refused.
     Masks of ``SHIFT_OR_NUMPY_WORDS`` words or more are ORed in place into a
     numpy array (``_shift_or_words``): one byte slice per member, split by
     accumulator region into ranges that each fold on their own CPU, if this
@@ -93,9 +93,8 @@ def pair_sumset(
         for a in outer.members():
             acc |= inner_mask << a
         return PrefixBitset(bound, acc & full_mask(bound))
-    k = 1 if p is q else folds
-    if k is not None and outer is q:  # inner is kQ, split by each member c at kc
-        k = min(k, bound + 1)  # a k past the bound splits past it too
+    if folds is not None and outer is q:  # inner is kQ, split by each member c at kc
+        k = min(folds, bound + 1)  # a k past the bound splits past it too
     else:  # a fold that is the sparser operand ORs all of Q
         k = None
     return _shift_or_words(outer, inner, bound, k)

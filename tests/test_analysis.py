@@ -83,20 +83,20 @@ class TestSubseq:
         assert SubseqSpec(a=0, base=None, c=7, count=1).indexed_terms() == ((1, 7),)
 
     def test_term_overflow(self):
-        with pytest.raises(OverflowError):
+        with pytest.raises(SemanticError):
             SubseqSpec(a=1, base=10, c=0, start=25, count=1).indexed_terms()
         # 10^(10^9) has over 3e9 bits; the bit-length bound rejects it uncomputed
         for spec in (
             SubseqSpec(a=1, base=10, c=0, start=10**9, count=1),
             SubseqSpec(a=3, base=2, c=-(2**70), start=10**9, count=1),
         ):
-            with pytest.raises(OverflowError):
+            with pytest.raises(SemanticError):
                 spec.indexed_terms()
         # the terms at the edge of the 64-bit range are still computed exactly
         assert SubseqSpec(a=1, base=2, c=-1, start=64, count=1).indexed_terms() == (
             (64, 2**64 - 1),
         )
-        with pytest.raises(OverflowError):
+        with pytest.raises(SemanticError):
             SubseqSpec(a=1, base=2, c=0, start=64, count=1).indexed_terms()
         assert SubseqSpec(a=0, base=10, c=7, start=10**9, count=1).indexed_terms() == (
             (10**9, 7),

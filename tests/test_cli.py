@@ -252,6 +252,43 @@ class TestExitCodes:
         assert code == 2
         assert "ADDBASIS_MAX_BOUND must be an integer" in err
 
+    @pytest.mark.parametrize("raw", ["١٠٠", "1_000", " 100", "+5", "-1", "1e3", ""])
+    def test_ceiling_setting_in_ascii_digits(self, capsys, monkeypatch, raw):
+        # int() reads all of these; the numeric options accept none of them
+        monkeypatch.setenv("ADDBASIS_MAX_BOUND", raw)
+        code, out, err = run_cli(capsys, "order", "--set", "squares", "--bound", "10", "--hmax", "2")
+        assert (code, out) == (2, "")
+        assert "ADDBASIS_MAX_BOUND must be an integer" in err
+
+    def test_ceiling_setting_applies(self, capsys, monkeypatch):
+        monkeypatch.setenv("ADDBASIS_MAX_BOUND", "100")
+        report = run_json(capsys, "order", "--set", "squares", "--bound", "100", "--hmax", "4")
+        assert report["result"]["upper"] == 4
+        code, out, err = run_cli(capsys, "order", "--set", "squares", "--bound", "101", "--hmax", "4")
+        assert (code, out) == (2, "")
+        assert "exceeds the configured ceiling 100" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sumset", "--set", "squares", "--h", "2", "--bound", "1000"],
+            ["order", "--set", "squares", "--bound", "1000", "--hmax", "4"],
+            ["density", "--set", "squares", "--t", "2", "--subseq", "10^k", "--terms", "3"],
+        ],
+    )
+    def test_out_of_memory_maps_to_two(self, capsys, monkeypatch, argv):
+        # a fold too large for this process is the size of the input, not a
+        # fault of ours, so it exits 2 with one line and no report
+        import addbasis.sumset as sumset_module
+
+        def out_of_memory(*args, **kwargs):
+            raise MemoryError("Unable to allocate 238. MiB")
+
+        monkeypatch.setattr(sumset_module, "pair_sumset", out_of_memory)
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err == f"error: {argv[0]} ran out of memory; a lower bound may fit\n"
+
     def test_library_value_error_maps_to_three(self, capsys, monkeypatch):
         # a ValueError from inside the kernels is a fault of ours, not of the
         # input: pair_sumset's bound check, and from_runs on the gap path
@@ -754,11 +791,15 @@ class TestCanonicalJson:
         assert canonical_json(value) == json.dumps(value, sort_keys=True, indent=2) + "\n"
 
     def test_leaf_subclasses(self):
+        # reports hold only the exact leaf types (validate_report checks
+        # ``type(value) is ...``), so a subclass is refused, though json.dumps
+        # writes it
         class Text(str):
             pass
 
-        value = {"e": [IntEnum("E", "A B")(2)], "s": Text("q\n"), "f": type("F", (float,), {})("-inf")}
-        assert canonical_json(value) == json.dumps(value, sort_keys=True, indent=2) + "\n"
+        for value in ({"e": [IntEnum("E", "A B")(2)]}, {"s": Text("q\n")}, [type("F", (float,), {})("-inf")]):
+            with pytest.raises(TypeError, match="is not JSON serializable"):
+                canonical_json(value)
 
     def test_goldens_reencode(self):
         for path in sorted(GOLDEN.glob("*.json")):

@@ -15,6 +15,7 @@ from addbasis import (
     PrefixBitset,
     SubseqSpec,
     VerificationError,
+    iterate_sumset,
     materialize,
     order_bounds,
     pair_sumset,
@@ -111,6 +112,47 @@ class TestOrderBounds:
         # three folds on runs; on shift-OR they would take hours at this bound
         rep = order_bounds(COUNTEREXAMPLE, 2 * 10**7, 5)
         assert (rep.upper, rep.lower, rep.witness) == (3, 3, 21)
+
+
+def waring_g(k):
+    """Waring's g(k) = 2^k + floor((3/2)^k) - 2 and its witness
+    2^k * floor((3/2)^k) - 1, the least number that needs g(k) k-th powers;
+    proved for k = 4 by Balasubramanian, Deshouillers and Dress (1986) and
+    for k = 5 by Chen (1964)."""
+    q = 3**k // 2**k
+    return 2**k + q - 2, 2**k * q - 1
+
+
+# Dickson (1939): 23 and 239 are the only numbers that need nine cubes, and
+# these 15 more are all that need eight
+NINE_CUBES = [23, 239]
+EIGHT_CUBES = [15, 22, 50, 114, 167, 175, 186, 212, 231, 238, 303, 364, 420, 428, 454]
+
+
+@pytest.fixture(params=["default", 2, 3])
+def chain_split(request, monkeypatch):
+    """The shift-OR ranges of a fold: one per CPU above SHIFT_OR_RANGE_WORDS
+    (one at 1e6), or a range on each of 2 or 3 CPUs from one word up."""
+    if request.param != "default":
+        monkeypatch.setattr(sumset_module, "SHIFT_OR_RANGE_WORDS", 1)
+        monkeypatch.setattr(sumset_module, "_usable_cpus", lambda: request.param)
+
+
+class TestClassicalOracles:
+    """Fold chains of 7 to 37 folds at 1e6 against Waring's and Dickson's
+    theorems, which need no sumset to state."""
+
+    @pytest.mark.parametrize("k, bracket", [(4, (19, 79)), (5, (37, 223))])
+    def test_waring_bracket(self, chain_split, k, bracket):
+        g, witness = waring_g(k)
+        assert (g, witness) == bracket
+        rep = order_bounds(Powers(k), 10**6, g + 1)
+        assert (rep.upper, rep.lower, rep.witness, rep.witness_fold) == (g, g, witness, g - 1)
+        assert rep.certified_lower
+
+    @pytest.mark.parametrize("h, gaps", [(7, sorted(NINE_CUBES + EIGHT_CUBES)), (8, NINE_CUBES)])
+    def test_dickson_cube_gaps(self, chain_split, h, gaps):
+        assert list(iterate_sumset(CUBES, h, 10**6).bits.gaps()) == gaps
 
 
 class TestStabilityProbe:

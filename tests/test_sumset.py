@@ -209,7 +209,7 @@ class TestShiftOrLoops:
         assert folds == {cpus: ints for cpus in (2, 3, 5)}
 
     def test_same_set_loop_matches_ints(self, monkeypatch):
-        # pair_sumset(p, p) on numpy ORs each pair from its smaller member
+        # pair_sumset(p, p, folds=1) on numpy ORs each pair from its smaller member
         # or from its larger one, whichever ORs fewer bytes in all; sets with
         # members at all 8 residues and above bound / 2, folded on 1, 2 and
         # 3 ranges of InlineThread
@@ -240,7 +240,7 @@ class TestShiftOrLoops:
         def fold():
             for cpus in (1, 2, 3):
                 monkeypatch.setattr(sumset_module, "_usable_cpus", lambda: cpus)
-                folds[cpus] = [pair_sumset(p, p, bound) for p in sets]
+                folds[cpus] = [pair_sumset(p, p, bound, folds=1) for p in sets]
 
         caller = threading.Thread(target=fold, daemon=True)
         monkeypatch.setattr(sumset_module.threading, "Thread", InlineThread)
