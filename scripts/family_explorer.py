@@ -33,8 +33,7 @@ def explore(base: int, bound: int, hmax: int) -> dict:
     subseq = SubseqSpec(family.mult, base, family.offset - 1, start=1, count=max(count, 2))
 
     probe = stability_probe(family, (), 3, subseq, bound)
-    density = density_sequence(family, 1, subseq)
-    lo, hi = window_extrema(density.rows[-4:])
+    lo, hi = window_extrema(density_sequence(family, 1, subseq)[-4:])
     return {
         "base": base,
         "upper": order.upper,

@@ -9,7 +9,6 @@ certified order lower bounds, and finite-stability probes.
 
 from .analysis import (
     ZERO_RATIO,
-    DensityReport,
     DensityRow,
     HypothesisReport,
     SubseqSpec,
@@ -22,7 +21,6 @@ from .bitset import PrefixBitset, full_mask, iter_bits
 from .order import (
     OrderReport,
     StabilityReport,
-    SweepReport,
     VerificationError,
     order_bounds,
     random_stability_sweep,
@@ -62,7 +60,6 @@ __all__ = [
     "BoundCeilingError",
     "COUNTEREXAMPLE",
     "CUBES",
-    "DensityReport",
     "DensityRow",
     "Explicit",
     "HypothesisReport",
@@ -77,7 +74,6 @@ __all__ = [
     "StabilityReport",
     "SubseqSpec",
     "SumsetResult",
-    "SweepReport",
     "Union",
     "VerificationError",
     "VerifyOutcome",

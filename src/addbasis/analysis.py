@@ -115,17 +115,6 @@ class DensityRow:
     ratio: Fraction
 
 
-@dataclass(frozen=True)
-class DensityReport:
-    """Counting-function samples of a t-fold sumset along a subsequence."""
-
-    rows: tuple[DensityRow, ...]
-
-    def __post_init__(self):
-        if not self.rows:
-            raise ValueError("density report needs at least one row")
-
-
 def _density_rows(
     fold: PrefixBitset, terms: tuple[tuple[int, int], ...]
 ) -> tuple[DensityRow, ...]:
@@ -136,11 +125,11 @@ def _density_rows(
     return tuple(rows)
 
 
-def density_sequence(expr: SetExpr, t: int, subseq: SubseqSpec) -> DensityReport:
-    """Rows ``(k, n_k, (tA)(n_k), ratio)`` with exact rational ratios."""
+def density_sequence(expr: SetExpr, t: int, subseq: SubseqSpec) -> tuple[DensityRow, ...]:
+    """Rows ``(k, n_k, (tA)(n_k), ratio)`` of the t-fold sumset, one per
+    subsequence term, with exact rational ratios."""
     terms = subseq.indexed_terms()
-    fold = iterate_sumset(expr, t, terms[-1][1]).bits
-    return DensityReport(_density_rows(fold, terms))
+    return _density_rows(iterate_sumset(expr, t, terms[-1][1]).bits, terms)
 
 
 def window_extrema(rows: Sequence[DensityRow]) -> tuple[Fraction, Fraction]:

@@ -6,7 +6,9 @@ A result echoes its inputs and adds the library report's fields through
 
 Exit codes: 0 success, 2 precondition or usage violation (a ``ParseError``,
 ``SemanticError`` or ``BoundCeilingError``, or an argparse error) or a
-command that ran out of memory (``MemoryError``), 3 internal failure: a
+command that ran out of memory (``MemoryError``) or a stdout whose reader
+closed it before the report was written (``BrokenPipeError``; one line on
+stderr and nothing else, not even at interpreter exit), 3 internal failure: a
 mathematical claim or certificate did not hold, a report failed its shape
 check, or the library raised any other ``ValueError`` or ``OverflowError``.
 
@@ -154,15 +156,15 @@ def _cmd_order(args) -> tuple[dict, int]:
 def _cmd_density(args) -> tuple[dict, int]:
     subseq = _subseq(args)
     _check_folds("--t", args.t, args.t, subseq.indexed_terms()[-1][1])
-    rep = density_sequence(args.expr, args.t, subseq)
-    min_ratio, max_ratio = window_extrema(rep.rows)
+    rows = density_sequence(args.expr, args.t, subseq)
+    min_ratio, max_ratio = window_extrema(rows)
     payload = {
         "set": args.set,
         "t": args.t,
         "subseq": str(subseq),
         "start": args.start,
         "terms": args.terms,
-        **jsonable(rep),
+        "rows": jsonable(rows),
         "min_ratio": str(min_ratio),
         "max_ratio": str(max_ratio),
     }
@@ -360,11 +362,19 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: report failed schema self-validation: {exc}", file=sys.stderr)
         return 3
     if args.csv:
-        sys.stdout.write(rows_csv(report))
+        text = rows_csv(report)
     elif getattr(args, "plot_data", False):
-        sys.stdout.write(plot_data_lines(report))
+        text = plot_data_lines(report)
     else:
-        sys.stdout.write(canonical_json(report))
+        text = canonical_json(report)
+    try:
+        sys.stdout.write(text)
+        sys.stdout.flush()
+    # the reader closed the pipe before it read the report; the failed flush
+    # leaves nothing buffered, so the flush at interpreter exit is silent
+    except BrokenPipeError:
+        print("error: stdout was closed before the report was written", file=sys.stderr)
+        return 2
     return status
 
 

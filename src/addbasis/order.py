@@ -185,29 +185,18 @@ SWEEP_ELEMENT_CEILING = 1000
 SWEEP_MAX_SIZE = 5
 
 
-@dataclass(frozen=True)
-class SweepReport:
-    """Indices of the seeded sweep runs whose F put a family term into
-    ``(h-1)(A ∪ F)``; ``all_runs_survived`` when there are none."""
-
-    terms: tuple[int, ...]
-    failing_runs: tuple[int, ...]
-
-    @property
-    def all_runs_survived(self) -> bool:
-        return not self.failing_runs
-
-
 def random_stability_sweep(
     expr: SetExpr,
     h: int,
     family: SubseqSpec,
     bound: int,
     seed: int = 0,
-) -> SweepReport:
+) -> tuple[int, ...]:
     """Probe stability against ``SWEEP_RUNS`` random finite augmentations.
 
-    F is a uniform sample of up to ``SWEEP_MAX_SIZE`` elements from
+    Returns the indices of the seeded runs whose F put a family term into
+    ``(h-1)(A ∪ F)``, empty when every run keeps every term out.  F is a
+    uniform sample of up to ``SWEEP_MAX_SIZE`` elements from
     ``[0, SWEEP_ELEMENT_CEILING]``, seeded for reproducibility.  Sumsets are
     monotone in the set, so a term that survives the probe of
     ``Union(A, Interval(0, SWEEP_ELEMENT_CEILING))`` survives every such F:
@@ -217,7 +206,7 @@ def random_stability_sweep(
     terms = tuple(n for _, n in family.indexed_terms())
     universal = Union(expr, Interval(0, SWEEP_ELEMENT_CEILING))
     if stability_probe(universal, (), h, family, bound).survivors == terms:
-        return SweepReport(terms, ())
+        return ()
     pool = range(SWEEP_ELEMENT_CEILING + 1)
     rng = random.Random(seed)
     failing: list[int] = []
@@ -226,4 +215,4 @@ def random_stability_sweep(
         added = rng.sample(pool, size)
         if stability_probe(expr, added, h, family, bound).survivors != terms:
             failing.append(i)
-    return SweepReport(terms, tuple(failing))
+    return tuple(failing)

@@ -20,15 +20,13 @@ except for ``timing_ms``.
 
 from __future__ import annotations
 
-import csv
 import dataclasses
 import functools
-import io
 import json
 import math
 import re
 from fractions import Fraction
-from typing import Any, Iterable
+from typing import Any
 
 SCHEMA_VERSION = "1"
 
@@ -312,72 +310,62 @@ def validate_report(report: dict[str, Any]) -> None:
         raise ReportError("report" + "".join(reversed(found)))
 
 
-def _csv_text(header: list[str], rows: Iterable[list[Any]]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow(row)
-    return buf.getvalue()
+def _row_groups(report: dict[str, Any]) -> list[tuple[int | None, list[dict[str, Any]]]]:
+    """A density or probe report's density rows as ``(fold, rows)`` groups;
+    fold is None for a density report's one group."""
+    command = report["command"]
+    result = report["result"]
+    if command == "density":
+        return [(None, result["rows"])]
+    if command == "probe":
+        return [(result["h2_fold"], result["h2_rows"]), (result["h1_fold"], result["h1_rows"])]
+    raise ValueError(f"no density rows in a {command!r} report")
 
 
 def rows_csv(report: dict[str, Any]) -> str:
-    """Rows-only CSV rendering of a report, for plotting and spreadsheets."""
+    """Rows-only CSV rendering of a report, for plotting and spreadsheets.
+
+    No cell is quoted: after ``validate_report`` each one is a natural, a
+    ``ratio_decimal``, ``true``/``false``, an empty string, a claim name or
+    ``PASS``/``FAIL``, and none of these holds a comma, a quote or a newline.
+    """
     command = report["command"]
     result = report["result"]
-    if command == "density":
-        return _csv_text(
-            ["k", "n", "count", "ratio"],
-            ([r["k"], r["n"], r["count"], r["ratio_decimal"]] for r in result["rows"]),
-        )
-    if command == "probe":
+    if command in ("density", "probe"):
+        header = (["fold"] if command == "probe" else []) + ["k", "n", "count", "ratio"]
         rows = [
-            [result["h2_fold"], r["k"], r["n"], r["count"], r["ratio_decimal"]]
-            for r in result["h2_rows"]
-        ] + [
-            [result["h1_fold"], r["k"], r["n"], r["count"], r["ratio_decimal"]]
-            for r in result["h1_rows"]
+            ([] if fold is None else [fold]) + [r["k"], r["n"], r["count"], r["ratio_decimal"]]
+            for fold, group in _row_groups(report)
+            for r in group
         ]
-        return _csv_text(["fold", "k", "n", "count", "ratio"], rows)
-    if command == "stability":
-        return _csv_text(
-            ["k", "n", "in_sumset"],
-            (
-                [v["k"], v["n"], str(v["in_sumset"]).lower()]
-                for v in result["verdicts"]
-            ),
-        )
-    if command == "order":
-        return _csv_text(
-            ["h", "covered", "first_gap"],
-            (
-                [r["h"], str(r["covered"]).lower(), "" if r["first_gap"] is None else r["first_gap"]]
-                for r in result["scan"]
-            ),
-        )
-    if command == "sumset":
-        rows = [["member", n] for n in result["members"]]
-        rows += [["gap", n] for n in result["gaps"]]
-        return _csv_text(["kind", "n"], rows)
-    if command == "verify-counterexample":
-        return _csv_text(
-            ["claim", "status"],
-            ([c["name"], c["status"]] for c in result["claims"]),
-        )
-    raise ValueError(f"no CSV rendering for command {command!r}")
+    elif command == "stability":
+        header = ["k", "n", "in_sumset"]
+        rows = [[v["k"], v["n"], str(v["in_sumset"]).lower()] for v in result["verdicts"]]
+    elif command == "order":
+        header = ["h", "covered", "first_gap"]
+        rows = [
+            [r["h"], str(r["covered"]).lower(), "" if r["first_gap"] is None else r["first_gap"]]
+            for r in result["scan"]
+        ]
+    elif command == "sumset":
+        header = ["kind", "n"]
+        rows = [["member", n] for n in result["members"]] + [["gap", n] for n in result["gaps"]]
+    elif command == "verify-counterexample":
+        header = ["claim", "status"]
+        rows = [[c["name"], c["status"]] for c in result["claims"]]
+    else:
+        raise ValueError(f"no CSV rendering for command {command!r}")
+    return "".join(",".join(map(str, row)) + "\n" for row in [header, *rows])
 
 
 def plot_data_lines(report: dict[str, Any]) -> str:
-    """(k, n, ratio) triples, one per line, gnuplot-style."""
-    command = report["command"]
-    result = report["result"]
-    if command == "density":
-        lines = [f"{r['k']} {r['n']} {r['ratio_decimal']}" for r in result["rows"]]
-    elif command == "probe":
-        lines = [f"# fold {result['h2_fold']}"]
-        lines += [f"{r['k']} {r['n']} {r['ratio_decimal']}" for r in result["h2_rows"]]
-        lines += ["", f"# fold {result['h1_fold']}"]
-        lines += [f"{r['k']} {r['n']} {r['ratio_decimal']}" for r in result["h1_rows"]]
-    else:
-        raise ValueError(f"no plot data for command {command!r}")
-    return "\n".join(lines) + "\n"
+    """(k, n, ratio) triples, one per line, gnuplot-style; a probe report's
+    two folds are blocks headed ``# fold <h>`` with a blank line between."""
+    blocks = [
+        "\n".join(
+            ([] if fold is None else [f"# fold {fold}"])
+            + [f"{r['k']} {r['n']} {r['ratio_decimal']}" for r in rows]
+        )
+        for fold, rows in _row_groups(report)
+    ]
+    return "\n\n".join(blocks) + "\n"

@@ -13,12 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any
 
-from .analysis import (
-    DensityReport,
-    SubseqSpec,
-    density_sequence,
-    window_extrema,
-)
+from .analysis import DensityRow, SubseqSpec, density_sequence, window_extrema
 from .order import (
     SWEEP_ELEMENT_CEILING,
     SWEEP_MAX_SIZE,
@@ -71,7 +66,9 @@ def _recount(family: BlockFamily, n: int) -> int:
     return count
 
 
-def _density_claim(expr, bound: int) -> tuple[Claim, DensityReport, DensityReport]:
+def _density_claim(
+    expr, bound: int
+) -> tuple[Claim, tuple[DensityRow, ...], tuple[DensityRow, ...]]:
     k_low = 1
     while 2 * 10 ** (k_low + 1) + 1 <= bound:
         k_low += 1
@@ -81,16 +78,16 @@ def _density_claim(expr, bound: int) -> tuple[Claim, DensityReport, DensityRepor
     low = density_sequence(expr, 1, SubseqSpec(2, 10, 1, start=1, count=k_low))
     high = density_sequence(expr, 1, SubseqSpec(1, 10, 0, start=1, count=k_high))
 
-    recount_ok = all(r.count == _recount(expr, r.n) for r in low.rows + high.rows)
+    recount_ok = all(r.count == _recount(expr, r.n) for r in low + high)
 
-    def approaches(report: DensityReport, anchor: Fraction) -> bool:
-        dists = [abs(r.ratio - anchor) for r in report.rows]
+    def approaches(rows: tuple[DensityRow, ...], anchor: Fraction) -> bool:
+        dists = [abs(r.ratio - anchor) for r in rows]
         return all(b < a for a, b in zip(dists, dists[1:]))
 
     low_ok = approaches(low, LOW_ANCHOR)
     high_ok = approaches(high, HIGH_ANCHOR)
-    low_final = abs(low.rows[-1].ratio - LOW_ANCHOR)
-    high_final = abs(high.rows[-1].ratio - HIGH_ANCHOR)
+    low_final = abs(low[-1].ratio - LOW_ANCHOR)
+    high_final = abs(high[-1].ratio - HIGH_ANCHOR)
     anchor_ok = True
     if k_low >= 5:
         anchor_ok = anchor_ok and low_final < ANCHOR_TOLERANCE
@@ -99,16 +96,16 @@ def _density_claim(expr, bound: int) -> tuple[Claim, DensityReport, DensityRepor
     # no family elements lie in (10^k, 2*10^k+1], so the two counts agree
     plateau_ok = all(
         lr.count == hr.count
-        for lr in low.rows
-        for hr in high.rows
+        for lr in low
+        for hr in high
         if lr.k == hr.k
     )
     passed = recount_ok and low_ok and high_ok and anchor_ok and plateau_ok
     detail = {
         "low_subseq": "2*10^k+1",
         "high_subseq": "10^k",
-        "low_rows": jsonable(low.rows),
-        "high_rows": jsonable(high.rows),
+        "low_rows": jsonable(low),
+        "high_rows": jsonable(high),
         "low_anchor": str(LOW_ANCHOR),
         "high_anchor": str(HIGH_ANCHOR),
         "low_final_distance": frac_decimal(low_final),
@@ -165,7 +162,7 @@ def verify_counterexample(bound: int, seed: int = 0) -> VerifyOutcome:
     density_claim, low, high = _density_claim(expr, bound)
     claims.append(density_claim)
 
-    lo_ratio, hi_ratio = window_extrema([r for r in low.rows + high.rows if r.k >= 3])
+    lo_ratio, hi_ratio = window_extrema([r for r in low + high if r.k >= 3])
     window_gap = hi_ratio - lo_ratio
     window_ok = window_gap > WINDOW_GAP_THRESHOLD
     claims.append(
@@ -183,21 +180,21 @@ def verify_counterexample(bound: int, seed: int = 0) -> VerifyOutcome:
         )
     )
 
-    k_top = low.rows[-1].k
+    k_top = low[-1].k
     family = SubseqSpec(2, 10, 1, start=k_top - 1, count=2)
-    sweep = random_stability_sweep(expr, 3, family, bound, seed=seed)
+    failing = random_stability_sweep(expr, 3, family, bound, seed=seed)
     claims.append(
         Claim(
             "stability-sweep",
-            sweep.all_runs_survived,
+            not failing,
             {
                 "runs": SWEEP_RUNS,
                 "seed": seed,
-                "witnesses": list(sweep.terms),
+                "witnesses": [n for _, n in family.indexed_terms()],
                 "element_ceiling": SWEEP_ELEMENT_CEILING,
                 "max_size": SWEEP_MAX_SIZE,
-                "all_runs_survived": sweep.all_runs_survived,
-                "failing_runs": list(sweep.failing_runs),
+                "all_runs_survived": not failing,
+                "failing_runs": list(failing),
             },
         )
     )

@@ -111,7 +111,7 @@ def test_criterion_3_limsup_subsequence(capsys):
 def test_criterion_4_nonconvergence(capsys):
     low = density_sequence(COUNTEREXAMPLE, 1, SubseqSpec(2, 10, 1, start=3, count=3))
     high = density_sequence(COUNTEREXAMPLE, 1, SubseqSpec(1, 10, 0, start=3, count=3))
-    mn, mx = window_extrema(low.rows + high.rows)
+    mn, mx = window_extrema(low + high)
     assert mx - mn > Fraction(2, 5)
     verify = run_report(capsys, "verify-counterexample", "--bound", "210000")
     window_claim = next(
@@ -128,7 +128,7 @@ def test_criterion_4_nonconvergence(capsys):
 
 def test_criterion_5_stability_sweep():
     started = time.perf_counter()
-    sweep = random_stability_sweep(
+    failing = random_stability_sweep(
         COUNTEREXAMPLE,
         3,
         SubseqSpec(2, 10, 1, start=4, count=2),
@@ -136,9 +136,7 @@ def test_criterion_5_stability_sweep():
         seed=0,
     )
     elapsed = time.perf_counter() - started
-    assert sweep.terms == (20001, 200001)
-    assert sweep.all_runs_survived
-    assert sweep.failing_runs == ()
+    assert failing == ()
     assert elapsed < 30.0
     print(
         f"\nACCEPTANCE 5 PASS: witnesses 20001 and 200001 survive all 100 random "

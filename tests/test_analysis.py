@@ -8,7 +8,6 @@ from addbasis import (
     COUNTEREXAMPLE,
     SQUARES,
     ZERO_RATIO,
-    DensityReport,
     DensityRow,
     Explicit,
     Interval,
@@ -138,17 +137,17 @@ class TestCounting:
 
 class TestDensity:
     def test_liminf_subsequence_rows(self):
-        rep = density_sequence(COUNTEREXAMPLE, 1, SubseqSpec(2, 10, 1, start=1, count=5))
-        assert tuple(r.ratio for r in rep.rows) == LIMINF_RATIOS
-        assert [r.count for r in rep.rows] == [10, 89, 888, 8887, 88886]
+        rows = density_sequence(COUNTEREXAMPLE, 1, SubseqSpec(2, 10, 1, start=1, count=5))
+        assert tuple(r.ratio for r in rows) == LIMINF_RATIOS
+        assert [r.count for r in rows] == [10, 89, 888, 8887, 88886]
 
     def test_limsup_subsequence_rows(self):
-        rep = density_sequence(COUNTEREXAMPLE, 1, SubseqSpec(1, 10, 0, start=2, count=4))
-        assert tuple(r.ratio for r in rep.rows) == LIMSUP_RATIOS
+        rows = density_sequence(COUNTEREXAMPLE, 1, SubseqSpec(1, 10, 0, start=2, count=4))
+        assert tuple(r.ratio for r in rows) == LIMSUP_RATIOS
 
     def test_binary_set_rows(self):
-        rep = density_sequence(Explicit((0, 1)), 1, SubseqSpec(1, 10, 0, start=1, count=3))
-        assert [r.ratio for r in rep.rows] == [
+        rows = density_sequence(Explicit((0, 1)), 1, SubseqSpec(1, 10, 0, start=1, count=3))
+        assert [r.ratio for r in rows] == [
             Fraction(1, 10),
             Fraction(1, 100),
             Fraction(1, 1000),
@@ -156,26 +155,26 @@ class TestDensity:
 
     def test_two_fold_density(self):
         # 2A of {0,1} is {0,1,2}
-        rep = density_sequence(Explicit((0, 1)), 2, SubseqSpec(1, 10, 0, start=1, count=2))
-        assert [r.count for r in rep.rows] == [2, 2]
+        rows = density_sequence(Explicit((0, 1)), 2, SubseqSpec(1, 10, 0, start=1, count=2))
+        assert [r.count for r in rows] == [2, 2]
 
     @settings(max_examples=25)
     @given(set_exprs)
     def test_row_invariants(self, expr):
-        rep = density_sequence(expr, 1, SubseqSpec(1, 4, 0, start=1, count=4))
-        counts = [r.count for r in rep.rows]
+        rows = density_sequence(expr, 1, SubseqSpec(1, 4, 0, start=1, count=4))
+        counts = [r.count for r in rows]
         assert counts == sorted(counts)
-        for r in rep.rows:
+        for r in rows:
             assert 0 <= r.ratio <= 1
-        ratios = [r.ratio for r in rep.rows]
-        assert window_extrema(rep.rows) == (min(ratios), max(ratios))
+        ratios = [r.ratio for r in rows]
+        assert window_extrema(rows) == (min(ratios), max(ratios))
 
 
 class TestWindowExtrema:
     def _tails(self):
         low = density_sequence(COUNTEREXAMPLE, 1, SubseqSpec(2, 10, 1, start=3, count=3))
         high = density_sequence(COUNTEREXAMPLE, 1, SubseqSpec(1, 10, 0, start=3, count=3))
-        return low.rows + high.rows
+        return low + high
 
     def test_both_tails_counterexample(self):
         window = [r for r in self._tails() if r.k >= 4]
@@ -188,13 +187,13 @@ class TestWindowExtrema:
         assert window_extrema(window[::-1]) == (mn, mx)
 
     def test_constant_ratio_interval(self):
-        rep = density_sequence(Interval(0, 1000), 1, SubseqSpec(1, 10, 0, start=1, count=3))
-        mn, mx = window_extrema(rep.rows)
+        rows = density_sequence(Interval(0, 1000), 1, SubseqSpec(1, 10, 0, start=1, count=3))
+        mn, mx = window_extrema(rows)
         assert mn == mx == 1
 
     def test_single_row(self):
-        rep = density_sequence(Explicit((1,)), 1, SubseqSpec(1, 10, 0, start=1, count=1))
-        mn, mx = window_extrema(rep.rows[-4:])
+        rows = density_sequence(Explicit((1,)), 1, SubseqSpec(1, 10, 0, start=1, count=1))
+        mn, mx = window_extrema(rows[-4:])
         assert mn == mx == Fraction(1, 10)
 
     def test_empty_window_rejected(self):
@@ -250,8 +249,8 @@ class TestHypothesisProbe:
         (zero, a, _, one), (p2, q2, _, two), (p3, q3, _, _) = calls
         assert zero.to_list() == [0] and one is a
         assert p2 is q2 is a and p3 is two and q3 is a
-        assert rep.h2_rows == density_sequence(SQUARES, 2, subseq).rows
-        assert rep.h1_rows == density_sequence(SQUARES, 3, subseq).rows
+        assert rep.h2_rows == density_sequence(SQUARES, 2, subseq)
+        assert rep.h1_rows == density_sequence(SQUARES, 3, subseq)
 
     def test_requires_h_at_least_three(self):
         with pytest.raises(ValueError):
@@ -262,11 +261,6 @@ def parse_expr(text):
     from addbasis import parse_set_expr
 
     return parse_set_expr(text)
-
-
-def test_density_report_rejects_empty():
-    with pytest.raises(ValueError):
-        DensityReport(())
 
 
 def test_density_row_shape():

@@ -4,6 +4,8 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
 import sys
 from dataclasses import dataclass
 from enum import IntEnum
@@ -17,7 +19,9 @@ from hypothesis import strategies as st
 
 import check_parse_parity
 from addbasis.cli import MAX_TERMS, int_arg, intlist_arg, main, nat_arg
-from addbasis.report import RESULT_SCHEMAS, ReportError, canonical_json, jsonable, validate_report
+from addbasis.report import (
+    RESULT_SCHEMAS, ReportError, canonical_json, jsonable, plot_data_lines, rows_csv, validate_report,
+)
 from reference import report_json_schema, report_validator
 
 
@@ -288,6 +292,31 @@ class TestExitCodes:
         code, out, err = run_cli(capsys, *argv)
         assert (code, out) == (2, "")
         assert err == f"error: {argv[0]} ran out of memory; a lower bound may fit\n"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify-counterexample", "--bound", "2.1e5"],
+            ["sumset", "--set", "squares", "--h", "2", "--bound", "1e5", "--limit", "100000"],
+        ],
+    )
+    def test_closed_stdout_maps_to_two(self, argv):
+        # a reader that exits before reading the report is the caller's doing:
+        # exit 2 with one line, and no traceback or "Exception ignored" when
+        # the interpreter flushes stdout at exit
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "addbasis.cli", *argv],
+                stdout=write_end, stderr=subprocess.PIPE, env=env, text=True, timeout=120,
+            )
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr == "error: stdout was closed before the report was written\n"
 
     def test_library_value_error_maps_to_three(self, capsys, monkeypatch):
         # a ValueError from inside the kernels is a fault of ours, not of the
@@ -907,3 +936,69 @@ class TestOutputs:
         rows = list(csv.reader(io.StringIO(out)))
         assert rows[0] == ["k", "n", "in_sumset"]
         assert rows[1] == ["1", "21", "false"]
+
+
+def reference_csv(report):
+    """``report``'s rows as ``csv.writer`` writes them, built from the
+    report's fields without ``report.rows_csv``."""
+    result = report["result"]
+    command = report["command"]
+
+    def density(rows, *fold):
+        return [[*fold, r["k"], r["n"], r["count"], r["ratio_decimal"]] for r in rows]
+
+    if command == "density":
+        rows = [["k", "n", "count", "ratio"], *density(result["rows"])]
+    elif command == "probe":
+        rows = [
+            ["fold", "k", "n", "count", "ratio"],
+            *density(result["h2_rows"], result["h2_fold"]),
+            *density(result["h1_rows"], result["h1_fold"]),
+        ]
+    elif command == "stability":
+        rows = [["k", "n", "in_sumset"]]
+        rows += [[v["k"], v["n"], str(v["in_sumset"]).lower()] for v in result["verdicts"]]
+    elif command == "order":
+        # csv.writer writes None as an empty cell
+        rows = [["h", "covered", "first_gap"]]
+        rows += [[r["h"], str(r["covered"]).lower(), r["first_gap"]] for r in result["scan"]]
+    elif command == "sumset":
+        rows = [["kind", "n"]]
+        rows += [["member", n] for n in result["members"]] + [["gap", n] for n in result["gaps"]]
+    else:
+        rows = [["claim", "status"], *([c["name"], c["status"]] for c in result["claims"])]
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(rows)
+    return buf.getvalue()
+
+
+class TestRowViews:
+    """``--csv`` and ``--plot-data`` against references built from the JSON
+    report of the same command, byte for byte."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["density", "--set", "counterexample", "--subseq", "2*10^k+1", "--terms", "5"],
+            ["probe", "--set", "squares", "--h", "4", "--subseq", "10^k", "--start", "2", "--terms", "3"],
+            ["stability", "--set", "counterexample", "--add", "11,12,21", "--h", "3",
+             "--subseq", "2*10^k+1", "--terms", "4", "--bound", "2.1e5"],
+            ["order", "--set", "squares", "--bound", "100", "--hmax", "6"],
+            ["sumset", "--set", "counterexample", "--h", "2", "--bound", "300", "--limit", "50"],
+            ["verify-counterexample", "--bound", "21000"],
+        ],
+    )
+    def test_csv_matches_csv_writer(self, capsys, argv):
+        report = run_json(capsys, *argv)
+        expected = reference_csv(report)
+        assert rows_csv(report) == expected
+        code, out, _ = run_cli(capsys, *argv, "--csv")
+        assert (code, out) == (0, expected)
+
+    def test_plot_data_density(self, capsys):
+        argv = ["density", "--set", "counterexample", "--subseq", "2*10^k+1", "--terms", "5"]
+        report = run_json(capsys, *argv)
+        expected = "".join(f"{r['k']} {r['n']} {r['ratio_decimal']}\n" for r in report["result"]["rows"])
+        assert plot_data_lines(report) == expected
+        code, out, _ = run_cli(capsys, *argv, "--plot-data")
+        assert (code, out) == (0, expected)

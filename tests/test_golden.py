@@ -162,7 +162,7 @@ def test_readme_python_blocks():
     assert (order.upper, order.lower, order.witness) == (3, 3, 21)
     # .bits is the exact 2A prefix: its gaps are the 2*10^k + 1 up to 21,000
     assert tuple(two_fold.bits.gaps()) == (21, 201, 2001, 20001)
-    assert [row.n for row in density.rows] == [21, 201, 2001, 20001, 200001]
+    assert [row.n for row in density] == [21, 201, 2001, 20001, 200001]
     # 6 runs; 2A: 6 runs, gaps 21, 201, ...
     assert len(namespace["runs"]) == 6
     assert len(runs_2a) == 6
