@@ -1,6 +1,7 @@
 #!/usr/bin/env python3
 """Print the popcount, first gap and SHA-256 of every fold of the squares
-(h <= 5) and the cubes (h <= 10) on ``[0, N]``.
+(h <= 5), the cubes (h <= 10), the fifth powers (h <= 37) and the sixth
+powers (h <= 73) on ``[0, N]``.
 
 One line per fold: ``set h popcount first_gap sha256``, where the digest is
 taken over ``mask.to_bytes(N // 8 + 1, "little")`` and a full fold's first
@@ -19,7 +20,7 @@ from addbasis import parse_set_expr
 from addbasis.cli import nat_arg
 from addbasis.sumset import sumset_folds
 
-CHAINS = (("squares", 5), ("cubes", 10))
+CHAINS = (("squares", 5), ("cubes", 10), ("powers(5)", 37), ("powers(6)", 73))
 
 
 def main() -> None:
