@@ -368,7 +368,10 @@ def main(argv: list[str] | None = None) -> int:
     else:
         text = canonical_json(report)
     try:
-        sys.stdout.write(text)
+        # in pieces: one large write returns after the pipe takes part of it,
+        # so a reader that closes partway would go unnoticed
+        for start in range(0, len(text), 1 << 16):
+            sys.stdout.write(text[start : start + (1 << 16)])
         sys.stdout.flush()
     # the reader closed the pipe before it read the report; the failed flush
     # leaves nothing buffered, so the flush at interpreter exit is silent

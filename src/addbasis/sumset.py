@@ -1,5 +1,9 @@
 """Bounded iterated sumsets over ``[0, N]``: interval-run arithmetic while the
-runs are few, bit-parallel shift-OR after.
+runs are few, bit-parallel shift-OR after.  On masks of
+``SHIFT_OR_NUMPY_WORDS`` words or more, two loops do less than shift-OR:
+A + A of a sparse set is scattered pair by pair (``_pair_scatter``), and
+once a fold of a set that holds 0 has few gaps, every later fold tests only
+those gaps (``_complement_fold``).
 
 Truncation soundness: every element is nonnegative, so any representation of
 ``n <= N`` uses only addends ``<= N``.  Computing with prefixes ``A ∩ [0, N]``
@@ -18,7 +22,7 @@ from itertools import islice
 from pathlib import Path
 from typing import Iterator
 
-from .bitset import PrefixBitset, full_mask
+from .bitset import PrefixBitset, full_mask, mask_size
 from .setexpr import SemanticError, SetExpr, check_bound, expr_runs, merge_runs
 
 @dataclass(frozen=True)
@@ -77,6 +81,11 @@ def pair_sumset(
     A run-backed operand's members and bytes are read from its runs, so only
     the Python-int loop builds a mask from runs, of its inner operand.
     ``{0} + Q`` is ``Q`` itself, returned without a shift or a mask.
+    On the numpy path ``folds=1`` states that ``P`` is ``Q``, so the fold is
+    A + A, which costs its pair sums when it is scattered: if the pairs
+    ``a_j <= a_i`` with ``a_i + a_j <= bound``, at ``PAIR_SCATTER_BYTES``
+    each, cost less than the bytes of the shift-OR windows, the sums are set
+    in the mask one by one (``_pair_scatter``) and no window is ORed.
     """
     if p.bound != bound or q.bound != bound:
         raise ValueError(
@@ -121,7 +130,9 @@ def _shift_or_words(
     the squares at 1e7 that is the largest-part window, which ORs about 0.41
     of the bytes of A + A and 0.42 of those of 2A + A.  With ``k`` None
     every member ORs all of ``inner``.  Both kinds of window start and end
-    in the order of the members.
+    in the order of the members.  With ``k`` 1 the fold is A + A, and when
+    its pairs at ``PAIR_SCATTER_BYTES`` each cost less than the cheaper
+    windows' bytes it is scattered (``_pair_scatter``) and nothing is ORed.
 
     The accumulator is split into the word ranges of ``_split_words``, each
     ORed from start to finish by its own thread, the calling thread
@@ -140,7 +151,7 @@ def _shift_or_words(
     batch held has its largest parts there.  Once at most one zero per
     ``GAP_TEST_WORDS`` words is left, testing the zeros against the
     remaining members costs less than ORing those, so the fold ends in
-    ``_gap_runs`` and returns run-backed.  After its smallest member a fold
+    ``_gap_test`` and returns run-backed.  After its smallest member a fold
     has at most ``inner``'s gaps, that member's value and its split point as
     zeros; it takes the checkpoints only if that count, halved at each
     doubling of the members, would reach the switch by the last member, and
@@ -167,7 +178,11 @@ def _shift_or_words(
     offsets = members >> 3
     at = np.minimum(offsets + (members * mul >> 3), size)
     past = np.minimum(at + 1, size)
-    largest = k is not None and int((past - offsets).sum()) < int((size - at).sum())
+    costs = int((past - offsets).sum()), int((size - at).sum())
+    largest = k is not None and costs[0] < costs[1]
+    if k == 1 and _pair_count(members, bound) * PAIR_SCATTER_BYTES < min(costs):
+        del offsets, at, past  # not held while the scatter allocates
+        return _pair_scatter(members, bound)
     starts, ends = (offsets, past) if largest else (at, np.full(total, size))
     spans = _split_words(starts, ends, words, _usable_cpus())
     del offsets, at, past, starts, ends  # not held while the fold allocates
@@ -238,37 +253,53 @@ def _shift_or_words(
             return PrefixBitset.from_bytes(bound, acc.tobytes(), int(np.bitwise_count(acc).sum()))
         last, zeros = zeros, bound + 1 - int(np.bitwise_count(acc).sum())
         if zeros * GAP_TEST_WORDS <= words:
-            return PrefixBitset.from_runs(bound, _gap_runs(acc, src, members[done:], bound))
+            gaps = _gap_test(_zeros(acc, bound), members[done:], lambda d: (src[d >> 3] >> (d & 7)) & 1, words)
+            return PrefixBitset.from_runs(bound, _gap_runs(gaps, bound))
         checked = last is None or 2 * zeros <= last
 
 
-def _gap_runs(acc, src, rest, bound: int) -> list[tuple[int, int]]:
-    """The runs between the gaps of ``_shift_or_words``'s fold: the zeros of
-    ``acc`` in ``[0, bound]`` that no remaining member in ``rest`` (ascending)
-    reaches with a member of ``inner``, whose bytes are ``src``.
-
-    One comparison finds the words of ``acc`` that hold a zero, and only
-    those words are unpacked.  A zero ``g`` is hit by ``m`` iff ``g - m >= 0``
-    is a member of ``inner``, so each block of members gathers those bits
-    for every zero still left, and the block is sized so that each of its
-    index arrays is at most an eighth of the mask.  The test stops when no
-    zero is left, or no member is at most the last one.
-    """
+def _zeros(acc, bound: int):
+    """The zeros of the uint64 words ``acc`` in ``[0, bound]``, ascending;
+    one comparison finds the words that hold one, and only those are
+    unpacked."""
     import numpy as np
 
     at = np.flatnonzero(acc != 2**64 - 1)
     holes = np.flatnonzero(np.unpackbits((~acc[at]).view(np.uint8), bitorder="little"))
-    gaps = at[holes >> 6] * 64 + (holes & 63)
-    gaps = gaps[gaps <= bound]
-    pairs = max(1, len(acc) // 8)
+    zeros = at[holes >> 6] * 64 + (holes & 63)
+    return zeros[zeros <= bound]
+
+
+def _gap_test(gaps, rest, member, words: int):
+    """The candidate gaps ``gaps`` (an ascending array) that no member ``m``
+    of ``rest`` (ascending) reaches: those ``g`` with no ``m <= g`` for which
+    ``member(g - m)`` holds, where ``member`` maps an array of naturals to
+    the bools (or 0/1) of their membership in the other operand.
+
+    The one gap test of both kernels that finish a fold on its gaps: the
+    shift-OR loop's candidates are its accumulator's zeros and its membership
+    test reads ``inner``'s bits; a complement fold's candidates are the gaps
+    of hA and a natural is in hA when it is not one of them.  Each block of
+    members tests every gap still left, and is sized so that each of its
+    index arrays is at most an eighth of a ``words``-word mask.  The test
+    stops when no gap is left, or no member is at most the last one.
+    """
+    import numpy as np
+
+    pairs = max(1, words // 8)
     i = 0
     while len(gaps) and i < len(rest) and rest[i] <= gaps[-1]:
         block = rest[i : i + max(1, pairs // len(gaps))]
         i += len(block)
         d = gaps - block[:, None]
-        hit = (src[np.maximum(d, 0) >> 3] >> (d & 7)) & 1
+        hit = member(np.maximum(d, 0))
         hit &= d >= 0
         gaps = gaps[~hit.any(axis=0)]
+    return gaps
+
+
+def _gap_runs(gaps, bound: int) -> list[tuple[int, int]]:
+    """The runs of ``[0, bound]`` between the ascending gaps ``gaps``."""
     runs, lo = [], 0
     for g in gaps.tolist():
         if g > lo:
@@ -277,6 +308,91 @@ def _gap_runs(acc, src, rest, bound: int) -> list[tuple[int, int]]:
     if lo <= bound:
         runs.append((lo, bound))
     return runs
+
+
+def _complement_fold(gaps, members, words: int):
+    """The gaps of ``(h+1)A``, as an array, from the ascending gaps ``gaps``
+    of ``hA``, for A's ascending member array ``members``, whose first
+    member must be 0.
+
+    With 0 in A, ``hA`` lies in ``(h+1)A``, so a gap ``g`` of ``(h+1)A`` is a
+    gap of ``hA`` that no ``a`` in A reaches from ``hA``: every ``a <= g``
+    has ``g - a`` among the gaps.  The cost is gaps x the members up to the
+    last gap, one search each, and no mask is read or built.
+    """
+    import numpy as np
+
+    gaps = np.asarray(gaps, np.int64)
+    last = len(gaps) - 1
+
+    def member(d):  # d lies in hA: it is not one of its gaps
+        return gaps[np.minimum(np.searchsorted(gaps, d), last)] != d
+
+    return _gap_test(gaps, members[1:], member, words)
+
+
+def _pair_count(members, bound: int) -> int:
+    """The pairs ``a_j <= a_i`` of the ascending member array whose sum is
+    at most ``bound``: those that ``_pair_scatter`` forms."""
+    import numpy as np
+
+    reach = np.searchsorted(members, bound - members, "right")
+    return int(np.minimum(reach, np.arange(1, len(members) + 1)).sum())
+
+
+def _pair_scatter(members, bound: int) -> PrefixBitset:
+    """``(A + A) ∩ [0, bound]`` for A's ascending member array ``members``,
+    by scattering the pair sums into the mask, one target block at a time.
+
+    Each sum ``a_i + a_j`` with ``j <= i`` is formed once.  A block of the
+    target bits ``[lo, hi)`` takes the rows ``a_i`` from ``lo / 2`` to below
+    ``hi``, and row ``a_i`` the members from ``lo - a_i`` to below
+    ``hi - a_i``, at most ``a_i``, so no block forms a sum that lies outside
+    it.  Those sums are set in a bool array of the block by fancy-index
+    assignment, in chunks of rows with at most ``size // 32`` pairs unless
+    one row has more, so that each index array is about a quarter of the
+    mask or less; ``np.packbits`` then writes the block's mask bytes.  A
+    block is at most twice the mask's bytes and 512 KB, which ran 5-10%
+    faster than 256 KB and 1 MB for squares and random points at 1e7 and
+    1e8.  The mask's bytes are allocated before any pair
+    is formed, and are the result's own, not copied.  One thread: two doing
+    fancy-index assignment ran no faster than one.
+    """
+    import numpy as np
+
+    size = mask_size(bound)
+    buf = bytearray(size)
+    out = np.frombuffer(buf, np.uint8)
+    span = min(1 << 19, 2 * size)  # target bits per block, a multiple of 8
+    block = np.zeros(span, bool)
+    chunk = max(1, min(size // 32, 1 << 15))
+    count = 0
+    for lo in range(0, bound + 1, span):
+        hi = min(lo + span, bound + 1)
+        first = int(np.searchsorted(members, (lo + 1) // 2))
+        rows = members[first : int(np.searchsorted(members, hi))]
+        starts = np.searchsorted(members, lo - rows)
+        counts = np.searchsorted(members, hi - rows)
+        np.minimum(counts, np.arange(first + 1, first + len(rows) + 1), out=counts)
+        counts -= starts
+        np.maximum(counts, 0, out=counts)
+        through = np.cumsum(counts)  # pairs in the rows up to each one
+        block[: hi - lo] = False
+        r = 0
+        while r < len(rows):
+            base = int(through[r] - counts[r])
+            e = max(r + 1, int(np.searchsorted(through, base + chunk, "right")))
+            c = counts[r:e]
+            # pair t of the chunk, in row i, is with member starts[i] + (t - the pairs before row i)
+            j = np.repeat(starts[r:e] - (through[r:e] - c - base), c)
+            j += np.arange(int(through[e - 1]) - base)
+            sums = members[j]
+            sums += np.repeat(rows[r:e] - lo, c)
+            block[sums] = True
+            r = e
+        out[lo >> 3 : (hi + 7) >> 3] = np.packbits(block[: hi - lo], bitorder="little")
+        count += int(np.count_nonzero(block[: hi - lo]))
+    return PrefixBitset.from_bytes(bound, buf, count)
 
 
 # cgroup files that cap this process's CPU time, read as "quota period":
@@ -408,6 +524,17 @@ RUN_PAIR_WORDS = 800
 # 0.58 s, against 0.74 s at 128, which declines it (best of 3).
 GAP_TEST_WORDS = 64
 
+# Cost of one pair sum that _pair_scatter sets, in bytes ORed by the numpy
+# shift-OR loop: A + A on that loop is scattered instead once pairs x
+# PAIR_SCATTER_BYTES < the bytes of its windows.  The median break-even
+# (window bytes per pair x scatter time / shift-OR time) over 30 A + A folds,
+# squares, cubes and sqrt(N)/2, sqrt(N) and 2 sqrt(N) random points at
+# N = 1e6, 2e6, 3e6, 5e6, 1e7 and 3e7 (best of 9, of 3 at 3e7, 2 vCPUs), was
+# 129 (quartiles 101 and 207).  The squares' windows cost 62, 108, 139 and
+# 196 bytes a pair at 1e6, 3e6, 5e6 and 1e7, so they are scattered from
+# about 4e6 up: 22 against 34 ms at 1e7.
+PAIR_SCATTER_BYTES = 128
+
 
 def sumset_folds(expr: SetExpr, bound: int) -> Iterator[PrefixBitset]:
     """``hA ∩ [0, bound]`` for ``h = 0, 1, 2, ...``, endlessly.
@@ -430,6 +557,15 @@ def sumset_folds(expr: SetExpr, bound: int) -> Iterator[PrefixBitset]:
     1 is A itself on either kernel (``run_sumset`` returns A's runs for
     ``{0} + A``), so the max makes fold 1 count as fold 2, the first that
     does work.  Both kernels are exact; the choice changes only the cost.
+
+    Once 0 is in A and a shift-OR fold on a mask of ``SHIFT_OR_NUMPY_WORDS``
+    words or more comes back with gaps x ``GAP_TEST_WORDS`` <= words (gaps
+    counted as ``bound + 1 - popcount``), the chain keeps that fold's gap
+    list, and every later fold is a complement fold (``_complement_fold``):
+    the gaps that no member of A reaches from the fold before, with no mask
+    read or built, returned run-backed.  A set without 0 never switches,
+    and below the numpy floor neither does any chain, so small chains never
+    import numpy.
     """
     check_bound(bound)
     base_runs = expr_runs(expr, bound)
@@ -444,8 +580,17 @@ def sumset_folds(expr: SetExpr, bound: int) -> Iterator[PrefixBitset]:
         bits = PrefixBitset.from_runs(bound, runs)
         h += 1
         yield bits
+    words = bound // 64 + 1
+    zero = 0 in base
+    gaps = None  # hA's gaps, once a fold has few of them
     while True:
-        bits = pair_sumset(bits, base, bound, folds=h)
+        if gaps is None:
+            bits = pair_sumset(bits, base, bound, folds=h)
+            if zero and words >= SHIFT_OR_NUMPY_WORDS and (bound + 1 - bits.popcount()) * GAP_TEST_WORDS <= words:
+                gaps = list(bits.gaps())
+        else:
+            gaps = _complement_fold(gaps, base._member_array(), words)
+            bits = PrefixBitset.from_runs(bound, _gap_runs(gaps, bound))
         h += 1
         yield bits
 

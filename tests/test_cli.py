@@ -318,6 +318,27 @@ class TestExitCodes:
         assert proc.returncode == 2, proc.stderr
         assert proc.stderr == "error: stdout was closed before the report was written\n"
 
+    def test_stdout_closed_partway_maps_to_two(self):
+        # a reader that closes the pipe after part of a report larger than the
+        # pipe buffer (13.9 MB here) exits 2 as well, not 0 with a cut report
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        argv = ["sumset", "--set", "squares", "--h", "2", "--bound", "1e6", "--limit", "1000000"]
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "addbasis.cli", *argv],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        )
+        try:
+            head = proc.stdout.read(70_000)
+            proc.stdout.close()
+            err = proc.stderr.read().decode()
+            code = proc.wait(timeout=120)
+        finally:
+            proc.kill()
+            proc.stderr.close()
+        assert head.startswith(b"{") and len(head) == 70_000
+        assert (code, err) == (2, "error: stdout was closed before the report was written\n")
+
     def test_library_value_error_maps_to_three(self, capsys, monkeypatch):
         # a ValueError from inside the kernels is a fault of ours, not of the
         # input: pair_sumset's bound check, and from_runs on the gap path

@@ -33,6 +33,7 @@ from addbasis import sumset as sumset_module
 from addbasis.order import order_bounds
 from addbasis.sumset import (
     GAP_TEST_WORDS,
+    PAIR_SCATTER_BYTES,
     RUN_PAIR_WORDS,
     SHIFT_OR_NUMPY_WORDS,
     SHIFT_OR_RANGE_WORDS,
@@ -349,16 +350,22 @@ class TestShiftOrLoops:
             assert cut in held or work_below(cut) < share <= work_below(cut + 1)
 
     def test_small_folds_never_import_numpy(self):
-        # squares at 2.1e4 fold on shift-OR with 329-word masks, below the floor
+        # squares at 2.1e4 fold on shift-OR with 329-word masks, below the
+        # floor; so do the cubes up to 9A, although 8A's 2 gaps would
+        # switch a chain from the floor on to complement folds
         script = (
             "import sys\n"
-            "from addbasis import sumset\n"
+            "from addbasis import parse_set_expr, sumset\n"
             "from addbasis.cli import main\n"
             "calls = []\n"
             "kernel = sumset.pair_sumset\n"
             "sumset.pair_sumset = lambda *a, **k: calls.append(1) or kernel(*a, **k)\n"
             "code = main(['sumset', '--set', 'squares', '--h', '3', '--bound', '21000'])\n"
             "assert code == 0 and len(calls) == 3, (code, calls)\n"
+            "code = main(['order', '--set', 'cubes', '--bound', '21000', '--hmax', '10'])\n"
+            "assert code == 0 and len(calls) == 3 + 9, (code, calls)\n"
+            "eight = sumset.iterate_sumset(parse_set_expr('cubes'), 8, 21000).bits\n"
+            "assert list(eight.gaps()) == [23, 239] and 2 * sumset.GAP_TEST_WORDS <= 21000 // 64 + 1\n"
             "assert 'numpy' not in sys.modules\n"
         )
         src = os.path.dirname(os.path.dirname(sumset_module.__file__))
@@ -438,7 +445,7 @@ class TestGapPath:
 
     @staticmethod
     def naive_gap_runs(acc, inner, rest, bound):
-        """``_gap_runs`` the slow way: the runs of ``[0, bound]`` less the
+        """The gap test the slow way: the runs of ``[0, bound]`` less the
         zeros of ``acc`` (an int) that no ``m`` in ``rest`` reaches with a
         member of ``inner`` (an int)."""
         covered = [
@@ -492,12 +499,19 @@ class TestGapPath:
             yield "random", b, acc, random_mask(rng, b, rng.randint(0, b + 1)), rest
 
     def test_gap_runs_alone(self):
+        # the accumulator's zeros, the gap test against the members of an
+        # inner operand held as an int, and the runs between what is left
         rng = random.Random(24)
         for name, bound, acc, inner, rest in self.gap_runs_cases(rng):
             words = bound // 64 + 1
             acc_words = np.frombuffer(acc.to_bytes(words * 8, "little"), "<u8")
-            src = PrefixBitset(bound, inner)._padded_bytes()
-            got = sumset_module._gap_runs(acc_words, src, np.array(rest, np.int64), bound)
+
+            def member(d):
+                return np.array([inner >> n & 1 for n in d.ravel().tolist()], bool).reshape(d.shape)
+
+            zeros = sumset_module._zeros(acc_words, bound)
+            gaps = sumset_module._gap_test(zeros, np.array(rest, np.int64), member, words)
+            got = sumset_module._gap_runs(gaps, bound)
             want = self.naive_gap_runs(acc, inner, rest, bound)
             assert got == want, (name, bound)
             if name == "one member per block":
@@ -683,6 +697,192 @@ class TestWindowedChains:
         assert set(top2_ends) == set(top3_ends) == {size}  # smallest-part windows
         assert [k for k, _ in seen["1, the top tenth and N"]][:3] == [1, None, None]
         assert seen["runs until fold 2"][0][0] == 2
+
+
+class TestPairScatter:
+    """A + A scattered pair by pair (``_pair_scatter``) against the Python-int
+    loop and brute force, forced onto the numpy loop and by the price onto
+    the scatter or off it.  At these bounds a block spans a quarter of the
+    mask and a chunk a few pairs, so sums fall on every block edge and
+    chunks cut between rows, or hold one row with more pairs."""
+
+    @staticmethod
+    def cases(rng):
+        for bound in (0, 7, 63, 64, 1000, 64 * 40 - 1):
+            span = 2 * (bound // 64 + 1) * 8  # bits per block
+            # sums 0 + x and x + x on each side of every block edge
+            edges = {x for lo in range(span, bound + 1, span) for x in (lo - 1, lo, lo + 1, lo // 2, lo // 2 + 1)}
+            yield bound, "block edges", sorted({0, *(x for x in edges if x <= bound)})
+            k = min(bound + 1, rng.randint(1, 60))
+            yield bound, "random", sorted(rng.sample(range(bound + 1), k))
+            yield bound, "random without 0", sorted(rng.sample(range(1, bound + 2), k))
+            for power in (2, 3, 4):
+                yield bound, f"powers({power})", materialize(Powers(power), bound).to_list()
+            yield bound, "a dense head", sorted({*range(min(bound, 300) + 1), *rng.sample(range(bound + 1), k)})
+            yield bound, "empty", []
+            yield bound, "{0}", [0]
+            yield bound, "{bound}", [bound]
+
+    def test_scatter_matches_ints_and_brute_force(self, monkeypatch):
+        rng = random.Random(41)
+        scatter, scattered = sumset_module._pair_scatter, []
+        monkeypatch.setattr(sumset_module, "_pair_scatter", lambda *a: scattered.append(1) or scatter(*a))
+        for bound, name, members in self.cases(rng):
+            members = [m for m in members if m <= bound]
+            a = PrefixBitset(bound, sum(1 << m for m in members))
+            pairs = sum(1 for i, x in enumerate(members) for y in members[: i + 1] if x + y <= bound)
+            if members:
+                assert sumset_module._pair_count(a._member_array(), bound) == pairs, (bound, name)
+            monkeypatch.setattr(sumset_module, "SHIFT_OR_NUMPY_WORDS", 2**63)
+            ints = pair_sumset(a, a, bound)
+            assert ints.to_list() == sorted(brute_fold(members, 2, bound)), (bound, name)
+            monkeypatch.setattr(sumset_module, "SHIFT_OR_NUMPY_WORDS", 0)
+            # with a pair sum in the bound, A + A is scattered at price 0
+            # and never at the largest price; {0} + {0} is returned as it is
+            for price in (0, 2**63):
+                monkeypatch.setattr(sumset_module, "PAIR_SCATTER_BYTES", price)
+                scattered.clear()
+                for p in (a, run_backed(a)):
+                    got = pair_sumset(p, p, bound, folds=1)
+                    assert got == ints, (bound, name, price)
+                    assert (got.popcount(), list(got.gaps())) == (ints.popcount(), list(ints.gaps()))
+                if pairs and members != [0]:
+                    assert len(scattered) == 2 * (price == 0), (bound, name, price)
+
+    def test_scatter_memory(self, monkeypatch):
+        # the scatter holds the result's bytes, a bool block of at most two
+        # masks, the index arrays of one chunk (at most size // 32 pairs,
+        # unless one row has more) and a block's rows: within the numpy
+        # loop's bound.  Cubes and random points scatter at the fitted
+        # price; [0, 1100] with the cubes, forced, has rows longer than a
+        # chunk and 1,155 members, each row array a quarter of a mask
+        bound = 64 * 4 * SHIFT_OR_NUMPY_WORDS
+        rng = random.Random(42)
+        mask_bytes = (bound // 64 + 1) * 8
+        scatter, scattered = sumset_module._pair_scatter, []
+        monkeypatch.setattr(sumset_module, "_pair_scatter", lambda *a: scattered.append(1) or scatter(*a))
+        cases = (
+            ("cubes", materialize(Powers(3), bound), PAIR_SCATTER_BYTES),
+            ("random", PrefixBitset(bound, random_mask(rng, bound, 200) | 1), PAIR_SCATTER_BYTES),
+            ("long rows", materialize(Union(Interval(0, 1100), Powers(3)), bound), 0),
+        )
+        for name, a, price in cases:
+            monkeypatch.setattr(sumset_module, "PAIR_SCATTER_BYTES", price)
+            scattered.clear()
+            tracemalloc.start()
+            try:
+                bits = pair_sumset(a, a, bound, folds=1)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert scattered == [1], name
+            assert peak <= 5.5 * mask_bytes, (name, peak / mask_bytes)
+            monkeypatch.setattr(sumset_module, "SHIFT_OR_NUMPY_WORDS", 2**63)
+            assert bits == pair_sumset(a, a, bound), name
+            monkeypatch.setattr(sumset_module, "SHIFT_OR_NUMPY_WORDS", SHIFT_OR_NUMPY_WORDS)
+
+    def test_squares_scatter_past_the_break_even(self, monkeypatch):
+        # the squares' windows cost 62 bytes a pair at 1e6 and 139 at 5e6,
+        # so A + A stays on shift-OR at 1e6 and is scattered at 5e6; the
+        # counts are the two-square sieve's, plus one for 0
+        scatter, scattered = sumset_module._pair_scatter, []
+        monkeypatch.setattr(sumset_module, "_pair_scatter", lambda *a: scattered.append(a[1]) or scatter(*a))
+        for bound, count in ((10**6, 216_342), (5 * 10**6, 1_017_156)):
+            assert iterate_sumset(Powers(2), 2, bound).bits.popcount() == count
+        assert scattered == [5 * 10**6]
+
+
+class TestComplementFolds:
+    """Chains that, once 0 is in A and a numpy fold has few gaps, fold on
+    those gaps alone (``_complement_fold``), against the same chains on the
+    Python-int loop.  At a gap price of 0 the chain switches after its
+    first shift-OR fold, however many gaps that leaves."""
+
+    BOUND = 64 * 40 - 1
+    HMAX = 40
+
+    @classmethod
+    def exprs(cls, rng, bound, zero=True):
+        yield "cubes", Powers(3)
+        yield "powers(4)", Powers(4)
+        yield "powers(5)", Powers(5)
+        for i in range(4):
+            small = rng.sample(range(1, 40), rng.randint(1, 4))
+            large = rng.sample(range(40, bound + 1), rng.randint(0, 20))
+            yield f"random {i}", Explicit(tuple(sorted({0, *small, *large})))
+
+    @staticmethod
+    def chains(exprs, bound, hmax):
+        return {name: list(islice(sumset_folds(expr, bound), hmax + 1)) for name, expr in exprs}
+
+    @staticmethod
+    def complement_calls(monkeypatch):
+        calls = []
+        fold = sumset_module._complement_fold
+        monkeypatch.setattr(sumset_module, "_complement_fold", lambda *a: calls.append(1) or fold(*a))
+        return calls
+
+    def assert_chains_equal(self, got, want):
+        for name, chain in got.items():
+            for h, (bits, ref) in enumerate(zip(chain, want[name])):
+                assert bits == ref, (name, h)
+                assert (bits.popcount(), list(bits.gaps())) == (ref.popcount(), list(ref.gaps())), (name, h)
+
+    def test_complement_folds_match_ints(self, monkeypatch):
+        exprs = list(self.exprs(random.Random(51), self.BOUND))
+        monkeypatch.setattr(sumset_module, "SHIFT_OR_NUMPY_WORDS", 2**63)
+        ints = self.chains(exprs, self.BOUND, self.HMAX)
+        monkeypatch.setattr(sumset_module, "SHIFT_OR_NUMPY_WORDS", 0)
+        calls = self.complement_calls(monkeypatch)
+        for price in (0, 1, GAP_TEST_WORDS):
+            monkeypatch.setattr(sumset_module, "GAP_TEST_WORDS", price)
+            calls.clear()
+            self.assert_chains_equal(self.chains(exprs, self.BOUND, self.HMAX), ints)
+            assert calls, price
+
+    def test_switch_only_from_the_numpy_floor(self, monkeypatch):
+        # words 1023 and 1024: below the floor the chain stays on the
+        # Python-int loop; from it on, cubes 8A's 2 gaps (23 and 239) and the
+        # gaps left near the end of the other chains switch at the fitted price
+        calls = self.complement_calls(monkeypatch)
+        for bound, switches in ((64 * SHIFT_OR_NUMPY_WORDS - 65, False), (64 * SHIFT_OR_NUMPY_WORDS - 64, True)):
+            exprs = list(self.exprs(random.Random(52), bound))
+            calls.clear()
+            folds = self.chains(exprs, bound, self.HMAX)
+            assert bool(calls) == switches, bound
+            monkeypatch.setattr(sumset_module, "SHIFT_OR_NUMPY_WORDS", 2**63)
+            self.assert_chains_equal(folds, self.chains(exprs, bound, self.HMAX))
+            monkeypatch.undo()
+            calls = self.complement_calls(monkeypatch)
+        assert [list(bits.gaps()) for bits in folds["cubes"][8:10]] == [[23, 239], []]
+
+    @settings(max_examples=40, deadline=None)
+    @given(set_exprs, st.integers(0, 400), st.sampled_from([0, 1, GAP_TEST_WORDS]))
+    def test_gaps_never_grow(self, expr, bound, price):
+        withzero = Union(expr, Explicit((0,)))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(sumset_module, "SHIFT_OR_NUMPY_WORDS", 0)
+            patch.setattr(sumset_module, "GAP_TEST_WORDS", price)
+            chain = list(islice(sumset_folds(withzero, bound), 8))
+        gaps = [set(bits.gaps()) for bits in chain]
+        assert all(later <= earlier for earlier, later in zip(gaps, gaps[1:]))
+        assert gaps[-1] == set(range(bound + 1)) - brute_fold(materialize(withzero, bound).to_list(), 7, bound)
+
+    def test_set_without_zero_never_switches(self, monkeypatch):
+        rng = random.Random(53)
+        bound = self.BOUND
+        exprs = [
+            ("squares from 1", Explicit(tuple(n * n for n in range(1, 51)))),
+            ("1, 2 and 5", Explicit((1, 2, 5))),
+            *((f"random {i}", Explicit(tuple(rng.sample(range(1, 60), 5)))) for i in range(3)),
+        ]
+        monkeypatch.setattr(sumset_module, "SHIFT_OR_NUMPY_WORDS", 2**63)
+        ints = self.chains(exprs, bound, 12)
+        monkeypatch.setattr(sumset_module, "SHIFT_OR_NUMPY_WORDS", 0)
+        monkeypatch.setattr(sumset_module, "GAP_TEST_WORDS", 0)
+        calls = self.complement_calls(monkeypatch)
+        self.assert_chains_equal(self.chains(exprs, bound, 12), ints)
+        assert calls == []
 
 
 class TestUsableCpus:
