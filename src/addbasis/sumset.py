@@ -570,7 +570,8 @@ def sumset_folds(expr: SetExpr, bound: int) -> Iterator[PrefixBitset]:
     check_bound(bound)
     base_runs = expr_runs(expr, bound)
     base = PrefixBitset.from_runs(bound, base_runs)
-    shift_or_words = base.popcount() * (bound // 64 + 1)
+    words = bound // 64 + 1
+    shift_or_words = base.popcount() * words
     runs = [(0, 0)]
     bits = PrefixBitset.from_runs(bound, runs)
     h = 0  # bits is hA
@@ -580,7 +581,6 @@ def sumset_folds(expr: SetExpr, bound: int) -> Iterator[PrefixBitset]:
         bits = PrefixBitset.from_runs(bound, runs)
         h += 1
         yield bits
-    words = bound // 64 + 1
     zero = 0 in base
     gaps = None  # hA's gaps, once a fold has few of them
     while True:
