@@ -3,7 +3,9 @@ runs are few, bit-parallel shift-OR after.  On masks of
 ``SHIFT_OR_NUMPY_WORDS`` words or more, two loops do less than shift-OR:
 A + A of a sparse set is scattered pair by pair (``_pair_scatter``), and
 once a fold of a set that holds 0 has few gaps, every later fold tests only
-those gaps (``_complement_fold``).
+those gaps (``_complement_fold``).  Shift-OR there ORs into the result's
+own bytes through one residue buffer, so a fold of ``[0, N]`` holds its
+inner operand, its result and that buffer: about 3.2 masks of N / 8 bytes.
 
 Truncation soundness: every element is nonnegative, so any representation of
 ``n <= N`` uses only addends ``<= N``.  Computing with prefixes ``A ∩ [0, N]``
@@ -134,15 +136,21 @@ def _shift_or_words(
     its pairs at ``PAIR_SCATTER_BYTES`` each cost less than the cheaper
     windows' bytes it is scattered (``_pair_scatter``) and nothing is ORed.
 
-    The accumulator is split into the word ranges of ``_split_words``, each
-    ORed from start to finish by its own thread, the calling thread
-    included.  For each residue a range's thread ORs ``inner``'s bytes over
-    every member's window into a private buffer that covers its words and
-    the one below them, then ORs that buffer, bit shifted by the residue
-    with the word below carrying its high bits in, into its range of the
-    accumulator.  Bytes shifted past the last word fall off.  The threads
-    read only ``inner``'s bytes, write only their own range and buffers,
-    allocate nothing and meet only when joined.
+    The accumulator is the result's own ``bytearray``, viewed as words, and
+    is split into the word ranges of ``_split_words``, each ORed from start
+    to finish by its own thread, the calling thread included.  For each
+    residue a range's thread ORs ``inner``'s bytes over every member's
+    window into a private buffer that covers its words and the one below
+    them, then ORs that buffer, bit shifted by the residue with the word
+    below carrying its high bits in, into its range of the accumulator,
+    through a carry chunk of at most 8,192 words that takes each stretch of
+    the buffer shifted right, then left.  Bytes shifted past the last word
+    fall off.  The threads read only ``inner``'s bytes, write only their own
+    range, buffer and chunk, allocate nothing and meet only when joined.
+    A range whose thread cannot start, as when its stack does not fit in
+    the address space, is folded by the calling thread.  So a fold holds
+    ``inner``, the result and about one mask of buffers; the buffers are
+    released before the result is counted or the gap test allocates.
 
     A fold that may come close to full ORs the members in ascending batches
     of 1, 1, 2, 4, 8, ... with smallest-part windows, and counts the zeros
@@ -157,7 +165,8 @@ def _shift_or_words(
     doubling of the members, would reach the switch by the last member, and
     it stops taking them once a doubling fails to halve the zeros.  Any
     other fold is a single batch.  A fold that does not end there returns
-    the accumulator's bytes and their ``np.bitwise_count`` total as its mask.
+    the accumulator's bytes, not copied, and their ``np.bitwise_count``
+    total as its mask.
     """
     import numpy as np
 
@@ -192,17 +201,19 @@ def _shift_or_words(
     free = bound + 1 - inner.popcount() + smallest + smallest * mul
     checked = free * GAP_TEST_WORDS <= total * words
     src = inner._padded_bytes()
-    acc = np.zeros(words, dtype="<u8")
-    # each range's buffer and carry, touched only by the thread that folds
-    # the range; allocated here, as a worker's own would each take a malloc arena
-    jobs = [(lo, hi, np.empty(hi - lo + 1, "<u8"), np.empty(hi - lo, "<u8")) for lo, hi in spans]
+    out = bytearray(size)  # the result's own bytes, ORed in place
+    acc = np.frombuffer(out, "<u8")
+    # each range's buffer and carry chunk, touched only by the thread that
+    # folds the range; allocated here, as a worker's own would each take a
+    # malloc arena
+    jobs = [(lo, hi, np.empty(hi - lo + 1, "<u8"), np.empty(min(hi - lo, 8192), "<u8")) for lo, hi in spans]
     errors: list[BaseException] = []
 
     def work(lo: int, hi: int, buf, carry, residues: list[list[int]], largest: bool) -> None:
-        # buf holds words [lo - 1, hi) of one residue's unshifted OR, carry
-        # the high bits that each of them but the last carries into the next
-        base, top = lo * 8 - 8, hi * 8
-        buf8, part = buf.view(np.uint8), acc[lo:hi]
+        # buf holds words [lo - 1, hi) of one residue's unshifted OR; carry
+        # holds one chunk of them at a time, shifted
+        base, top, n = lo * 8 - 8, hi * 8, hi - lo
+        buf8, part, step = buf.view(np.uint8), acc[lo:hi], len(carry)
         try:
             for r, group in enumerate(residues):
                 # this residue's members whose windows end above base and start below top
@@ -215,11 +226,16 @@ def _shift_or_words(
                     b, e = window(a, largest)
                     b, e, o = max(b, base), min(e, top), a >> 3
                     buf8[b - base : e - base] |= src[b - o : e - o]
-                if r:
-                    np.right_shift(buf[:-1], 64 - r, out=carry)
-                    part |= carry
-                    buf <<= r
-                part |= buf[1:]
+                if not r:
+                    part |= buf[1:]
+                    continue
+                for c in range(0, n, step):  # each word shifted, with the high bits of the one below
+                    d = min(c + step, n)
+                    chunk = carry[: d - c]
+                    np.right_shift(buf[c:d], 64 - r, out=chunk)
+                    part[c:d] |= chunk
+                    np.left_shift(buf[c + 1 : d + 1], r, out=chunk)
+                    part[c:d] |= chunk
         except BaseException as exc:  # re-raised in the calling thread below
             errors.append(exc)
 
@@ -232,8 +248,12 @@ def _shift_or_words(
         try:
             for job in jobs[1:]:
                 thread = threading.Thread(target=work, args=(*job, residues, largest))
-                thread.start()
-                threads.append(thread)
+                try:
+                    thread.start()
+                except RuntimeError:  # no room for its stack, so the range is folded here
+                    work(*job, residues, largest)
+                else:
+                    threads.append(thread)
             work(*jobs[0], residues, largest)
         finally:
             for thread in threads:
@@ -249,10 +269,11 @@ def _shift_or_words(
         done = end
         acc[-1] &= below_bound
         if done == total:
-            del src, jobs  # not held while the result is counted and copied
-            return PrefixBitset.from_bytes(bound, acc.tobytes(), int(np.bitwise_count(acc).sum()))
+            del src, jobs  # not held while the result is counted
+            return PrefixBitset.from_bytes(bound, out, int(np.bitwise_count(acc).sum()))
         last, zeros = zeros, bound + 1 - int(np.bitwise_count(acc).sum())
         if zeros * GAP_TEST_WORDS <= words:
+            del jobs  # not held while the gap test allocates its blocks
             gaps = _gap_test(_zeros(acc, bound), members[done:], lambda d: (src[d >> 3] >> (d & 7)) & 1, words)
             return PrefixBitset.from_runs(bound, _gap_runs(gaps, bound))
         checked = last is None or 2 * zeros <= last

@@ -266,14 +266,17 @@ class TestShiftOrLoops:
         assert [len(spans) for _, spans in splits] == [1] * len(sets) + [2] * len(sets) + [3] * len(sets)
 
     def test_numpy_loop_memory(self, monkeypatch):
-        # the loop holds the accumulator, inner's bytes and one buffer and
-        # carry per range, about 4 masks, plus an eighth of a mask of bit
-        # counts and the sum's cast buffer (up to 8,192 words, about a mask
-        # at this size) at each popcount, and at most 2 at the bytes
-        # conversion.  2A + A takes no checkpoints; a sparse outer on a dense
-        # inner with few gaps takes them and ends in the gap test
+        # the loop allocates the result's own bytes and one buffer per range,
+        # about 2 masks, beside a carry chunk of at most 8,192 words per
+        # range, the batch's members by residue and, at each popcount, an
+        # eighth of a mask of bit counts and the sum's cast buffer (up to
+        # 8,192 words); at a 1 MB mask it took at most 2.38 masks, on 3
+        # ranges.  A carry the size of each range and a copy of the result,
+        # as the loop once held, took 3.1-3.2.  2A + A takes no checkpoints;
+        # a sparse outer on a dense inner with few gaps takes them and ends
+        # in the gap test, after the buffers are released
         monkeypatch.setattr(sumset_module, "SHIFT_OR_RANGE_WORDS", self.FLOOR)
-        squares = materialize(Powers(2), 64 * 4 * self.FLOOR)
+        squares = materialize(Powers(2), 64 * 128 * self.FLOOR)
         bound = squares.bound
         twice = iterate_sumset(Powers(2), 2, bound).bits
         rng = random.Random(14)
@@ -290,7 +293,30 @@ class TestShiftOrLoops:
                 finally:
                     tracemalloc.stop()
                 assert (bits._runs is not None) == (name == "gap test"), (name, cpus)
-                assert peak <= 5.5 * mask_bytes, (name, cpus, peak / mask_bytes)
+                assert peak <= 2.75 * mask_bytes, (name, cpus, peak / mask_bytes)
+
+    def test_chain_memory(self):
+        # a chain holds A, its last fold (the inner operand, a mask or runs)
+        # and the fold in progress: above what A takes, the squares to 4A
+        # and the cubes to 9A (shift-OR, gap test and complement folds) stay
+        # within one mask and the loop's 2.75 at a 1 MB mask (3.32-3.34 with
+        # numpy 2.4)
+        bound = 64 * 128 * self.FLOOR
+        mask_bytes = (bound // 64 + 1) * 8
+        for k, h in ((2, 4), (3, 9)):
+            tracemalloc.start()
+            try:
+                folds = sumset_folds(Powers(k), bound)
+                next(folds)  # {0}, once A is built
+                held = tracemalloc.get_traced_memory()[0]
+                tracemalloc.reset_peak()
+                for bits in islice(folds, h):
+                    pass
+                peak = tracemalloc.get_traced_memory()[1] - held
+            finally:
+                tracemalloc.stop()
+            assert bits.popcount() == bound + 1, k  # Lagrange's four squares, Wieferich-Kempner's nine cubes
+            assert peak <= 3.75 * mask_bytes, (k, peak / mask_bytes)
 
     def test_worker_error_reaches_the_caller(self, monkeypatch):
         monkeypatch.setattr(sumset_module, "_usable_cpus", lambda: 3)
@@ -318,6 +344,25 @@ class TestShiftOrLoops:
         assert not caller.is_alive()
         assert raised == ["worker failed"]
         assert threading.active_count() == before
+
+    def test_range_folded_here_when_its_thread_cannot_start(self, monkeypatch):
+        # in a full address space a worker's stack may not fit; its range is
+        # then folded by the calling thread, as if it had started
+        monkeypatch.setattr(sumset_module, "_usable_cpus", lambda: 3)
+        monkeypatch.setattr(sumset_module, "SHIFT_OR_RANGE_WORDS", self.FLOOR)
+        squares = materialize(Powers(2), 64 * 4 * self.FLOOR)
+        want = pair_sumset(squares, squares, squares.bound)
+        start, calls = threading.Thread.start, []
+
+        def start_every_other(thread):
+            calls.append(thread)
+            if len(calls) % 2:
+                raise RuntimeError("can't start new thread")
+            start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", start_every_other)
+        assert pair_sumset(squares, squares, squares.bound) == want
+        assert len(calls) == 2
 
     @given(st.integers(1, 8 * SHIFT_OR_RANGE_WORDS), st.integers(1, 16), st.data())
     def test_word_ranges_cover(self, words, cpus, data):
@@ -750,23 +795,27 @@ class TestPairScatter:
                     assert len(scattered) == 2 * (price == 0), (bound, name, price)
 
     def test_scatter_memory(self, monkeypatch):
-        # the scatter holds the result's bytes, a bool block of at most two
-        # masks, the index arrays of one chunk (at most size // 32 pairs,
-        # unless one row has more) and a block's rows: within the numpy
-        # loop's bound.  Cubes and random points scatter at the fitted
-        # price; [0, 1100] with the cubes, forced, has rows longer than a
-        # chunk and 1,155 members, each row array a quarter of a mask
-        bound = 64 * 4 * SHIFT_OR_NUMPY_WORDS
+        # the scatter allocates the result's bytes, a bool block of at most
+        # 512 KB and the index arrays of one chunk of at most 32,768 pairs
+        # (unless one row has more), about 256 KB each, beside a block's
+        # rows.  At a 1 MB mask the squares, the cubes and sqrt(N) random
+        # points scatter at the fitted price within 2.5 masks (2.31 at most;
+        # the squares took 2.09 at 1e7).  [0, 1100] with the cubes, forced
+        # at a 32 KB mask, has rows longer than a chunk and 1,155 members,
+        # each row array a quarter of a mask, so it takes up to 5.5
         rng = random.Random(42)
-        mask_bytes = (bound // 64 + 1) * 8
         scatter, scattered = sumset_module._pair_scatter, []
         monkeypatch.setattr(sumset_module, "_pair_scatter", lambda *a: scattered.append(1) or scatter(*a))
+        large, small = 64 * 128 * SHIFT_OR_NUMPY_WORDS, 64 * 4 * SHIFT_OR_NUMPY_WORDS
         cases = (
-            ("cubes", materialize(Powers(3), bound), PAIR_SCATTER_BYTES),
-            ("random", PrefixBitset(bound, random_mask(rng, bound, 200) | 1), PAIR_SCATTER_BYTES),
-            ("long rows", materialize(Union(Interval(0, 1100), Powers(3)), bound), 0),
+            ("squares", materialize(Powers(2), large), PAIR_SCATTER_BYTES, 2.5),
+            ("cubes", materialize(Powers(3), large), PAIR_SCATTER_BYTES, 2.5),
+            ("random", materialize(Explicit((0, *rng.sample(range(1, large + 1), 2896))), large), PAIR_SCATTER_BYTES, 2.5),
+            ("long rows", materialize(Union(Interval(0, 1100), Powers(3)), small), 0, 5.5),
         )
-        for name, a, price in cases:
+        for name, a, price, masks in cases:
+            bound = a.bound
+            mask_bytes = (bound // 64 + 1) * 8
             monkeypatch.setattr(sumset_module, "PAIR_SCATTER_BYTES", price)
             scattered.clear()
             tracemalloc.start()
@@ -776,10 +825,14 @@ class TestPairScatter:
             finally:
                 tracemalloc.stop()
             assert scattered == [1], name
-            assert peak <= 5.5 * mask_bytes, (name, peak / mask_bytes)
-            monkeypatch.setattr(sumset_module, "SHIFT_OR_NUMPY_WORDS", 2**63)
-            assert bits == pair_sumset(a, a, bound), name
-            monkeypatch.setattr(sumset_module, "SHIFT_OR_NUMPY_WORDS", SHIFT_OR_NUMPY_WORDS)
+            assert peak <= masks * mask_bytes, (name, peak / mask_bytes)
+            # against the shift-OR windows, and at the small mask the Python-int loop
+            monkeypatch.setattr(sumset_module, "PAIR_SCATTER_BYTES", 2**63)
+            assert bits == pair_sumset(a, a, bound, folds=1), name
+            if bound == small:
+                monkeypatch.setattr(sumset_module, "SHIFT_OR_NUMPY_WORDS", 2**63)
+                assert bits == pair_sumset(a, a, bound), name
+                monkeypatch.setattr(sumset_module, "SHIFT_OR_NUMPY_WORDS", SHIFT_OR_NUMPY_WORDS)
 
     def test_squares_scatter_past_the_break_even(self, monkeypatch):
         # the squares' windows cost 62 bytes a pair at 1e6 and 139 at 5e6,
